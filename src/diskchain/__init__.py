@@ -19,10 +19,9 @@ from .chain import (ChainGeometry, CouplingResult, OverlapIntegrals,
                     overlap_integrals)
 from .dynamics import (BASIS_LABELS, CzResult, DetuningPulse, GateFailure,
                        GateParams, NvParams, PhaseReport, PulseSchedule,
-                       RegisterState, StepConvergenceError, Trajectory,
-                       TwoLevelState, aux_leakage, build_hamiltonian, evolve,
-                       excitation_expectation, extract_phases,
-                       logical_populations, make_cz_schedule,
+                       RegisterState, Trajectory, aux_leakage,
+                       build_hamiltonian, evolve, excitation_expectation,
+                       extract_phases, logical_populations, make_cz_schedule,
                        propagator_dispersive, propagator_resonant, run_cz)
 from .config import ConfigError, SimConfig, default_config, load_config
 from .verify import CheckResult, run_all

@@ -27,14 +27,14 @@ from .chain import (QuadratureError, coupling_kappa, dispersion,
                     fit_loglinear, overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
 from .core import CONSTANTS
-from .dynamics import (GateFailure, RegisterState, StepConvergenceError,
-                       extract_phases, logical_populations, run_cz)
+from .dynamics import (GateFailure, RegisterState, extract_phases,
+                       logical_populations, run_cz)
 from .verify import run_all
 from .wgm import (BelowCutoffError, NoSolutionError, radial_residual,
                   solve_disk, solve_mode)
 
 _NUMERICAL_ERRORS = (NoSolutionError, BelowCutoffError, QuadratureError,
-                     StepConvergenceError, GateFailure, FloatingPointError)
+                     GateFailure, FloatingPointError)
 
 
 class _UsageError(Exception):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+import math
 
 from .chain import ChainGeometry
 from .dynamics import GateParams
@@ -77,9 +78,12 @@ def _number(raw: str, unit, section: str, key: str) -> float:
     else:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {value!r}")
+    return number
 
 
 def _parse(text: str, origin: str) -> configparser.ConfigParser:
@@ -145,18 +149,27 @@ def load_config(path=None) -> SimConfig:
                 f"[disk] solve_rows: expected 'm R' pairs separated by ';', "
                 f"got {chunk!r}")
         try:
-            rows.append((int(parts[0]), float(parts[1])))
+            row = (int(parts[0]), float(parts[1]))
         except ValueError:
             raise ConfigError(f"[disk] solve_rows: bad pair {chunk!r}") from None
+        if not math.isfinite(row[1]):
+            raise ConfigError(
+                f"[disk] solve_rows: radius must be finite in {chunk!r}")
+        rows.append(row)
 
     l_over_r = []
     for item in chain_s["l_over_r"].split(","):
         item = item.strip()
         if item:
             try:
-                l_over_r.append(float(item))
+                ratio = float(item)
             except ValueError:
                 raise ConfigError(f"[chain] l_over_r: bad entry {item!r}") from None
+            if not (math.isfinite(ratio) and ratio >= 2.0):
+                raise ConfigError(
+                    f"[chain] l_over_r: entry {item!r} must be a finite "
+                    "L/R >= 2 (the disks overlap below 2)")
+            l_over_r.append(ratio)
     if not l_over_r:
         raise ConfigError("[chain] l_over_r: at least one spacing required")
     bloch = num("chain", chain_s, "bloch")

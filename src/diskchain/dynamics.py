@@ -70,11 +70,6 @@ AUX_INDICES = (4, 5, 6, 7)
 _COUPLING_PAIRS = ((0, 4, 1), (1, 6, 1), (0, 5, 2), (2, 7, 2))
 
 _PHASE_FLOOR = 1e-6
-_NORM_EPS = 2e-11      # per-run RK4 norm-drift budget feeding the step choice
-
-
-class StepConvergenceError(RuntimeError):
-    """The integrator step failed its accuracy or norm guard."""
 
 
 class GateFailure(RuntimeError):
@@ -312,12 +307,6 @@ class RegisterState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class TwoLevelState:
-    c0: complex
-    c1: complex
-
-
 def logical_populations(amplitudes) -> np.ndarray:
     """(p00, p01, p10, p11) in |g>=0, |+>=1 labelling."""
     c = np.asarray(amplitudes)
@@ -332,7 +321,8 @@ def aux_leakage(amplitudes) -> float:
 def excitation_expectation(amplitudes) -> float:
     """<N> with N = photon number + excited-state projectors.  Every basis
     state here carries N = 1, so this equals the squared norm; it is kept
-    as its own observable because its drift is a gate on the integrator."""
+    as its own observable because its drift measures how far the
+    propagator is from unitary."""
     c = np.asarray(amplitudes)
     return float(np.sum(np.abs(c) ** 2, axis=-1))
 
@@ -347,9 +337,9 @@ def _hamiltonian(nv1: NvParams, nv2: NvParams, delta1: float,
     h = np.zeros((8, 8), dtype=complex)
     # energy zero at the dark state: a diagonal shift is one more global
     # phase (the co-moving report cancels it exactly), and it makes the
-    # dark row vanish identically, so the integrator's step matrix holds
-    # that amplitude bit-for-bit instead of letting per-step modulus
-    # rounding (~1e-17) pile up over 1e5 steps
+    # dark row and column vanish identically, so every segment propagator
+    # holds that amplitude bit for bit instead of letting per-record
+    # modulus rounding pile up
     diag = (-d1 - d2, -d1, -d2, 0.0,
             -delta1 - d1 - d2, -delta2 - d1 - d2,
             -delta1 - d1, -delta2 - d2)
@@ -393,36 +383,24 @@ def propagator_dispersive(theta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# integrator
+# propagator
 
 
-def _rk4_transfer(h: np.ndarray, dt: float) -> np.ndarray:
-    """One-step transfer matrix of classical RK4 for c' = -i H c with
-    constant H: the degree-4 Taylor polynomial of exp(-i H dt)."""
-    a = -1j * dt * h
-    eye = np.eye(8, dtype=complex)
-    p = eye + a / 4.0
-    p = eye + (a / 3.0) @ p
-    p = eye + (a / 2.0) @ p
-    return eye + a @ p
-
-
-def _gershgorin(h: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(h), axis=1)))
-
-
-def _segment_list(schedule: PulseSchedule, t0: float, t1: float) -> list:
-    cuts = {t0, t1}
-    for p in schedule.pulses:
-        for e in (p.t_on, p.t_off):
-            if t0 < e < t1:
-                cuts.add(e)
-    edges = sorted(cuts)
-    segs = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a > 0.0:
-            segs.append((a, b, schedule.active(0.5 * (a + b))))
-    return segs
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) from matrix products only (Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)): a degree-16 Taylor polynomial of a / 2^s, ||a / 2^s||_1 < 1/2
+    (truncation below 1e-19), squared back s times.  A zero row and column
+    of a stay an exact identity row and column of the result."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    s = max(0, math.frexp(norm)[1] + 1)
+    b = a / 2.0 ** s
+    eye = np.eye(a.shape[0], dtype=complex)
+    u = eye
+    for k in range(16, 0, -1):
+        u = eye + (b / k) @ u
+    for _ in range(s):
+        u = u @ u
+    return u
 
 
 @dataclass(frozen=True)
@@ -443,88 +421,51 @@ class Trajectory:
 
 
 def evolve(state, schedule: PulseSchedule, params: GateParams,
-           t_span: Optional[tuple] = None, *, records: Optional[int] = None,
-           dt_max: Optional[float] = None,
-           convergence_check: bool = False) -> Trajectory:
-    """Integrate the register through a pulse schedule.
+           t_span: Optional[tuple] = None, *,
+           records: Optional[int] = None) -> Trajectory:
+    """Propagate the register exactly through a pulse schedule.
 
-    The Hamiltonian is piecewise constant, so each segment is advanced
-    with a fixed-step RK4 transfer matrix raised to integer powers; the
-    step is set by the coupling period, the fastest diagonal scale, and
-    a fifth-order norm-error budget, whichever is shortest.  dt_max
-    tightens it further (the step never exceeds any of the automatic
-    bounds).  With convergence_check=True the run is repeated at half
-    the step and a final-state disagreement above 1e-8 raises
-    StepConvergenceError.
+    The Hamiltonian is constant between pulse edges.  Each such segment
+    is cut into n = max(1, round(records * duration / total)) equal
+    record intervals tau, and the state advanced once per record by
+    U = exp(-i H tau).  The trajectory holds the start state and every
+    record; the last record of a segment falls exactly on its end, so
+    `records` (default params.samples) gives about records + 1 rows.
     """
-    c0 = state.amplitudes if isinstance(state, RegisterState) else _as_amplitudes(state)
+    c = state.amplitudes if isinstance(state, RegisterState) else _as_amplitudes(state)
     t0, t1 = t_span if t_span is not None else (0.0, schedule.duration)
     if not t1 > t0:
         raise ValueError(f"t_span: need t1 > t0, got ({t0}, {t1})")
     n_rec = records if records is not None else params.samples
-
-    nv1, nv2 = params.nv1, params.nv2
-    omega_w = params.omega_w
-    park = (omega_w - nv1.omega_a0, omega_w - nv2.omega_a0)
-
-    segs = []
-    for a, b, (on1, on2) in _segment_list(schedule, t0, t1):
-        h = _hamiltonian(nv1, nv2,
-                         0.0 if on1 else park[0],
-                         0.0 if on2 else park[1])
-        segs.append((a, b, h, np.real(np.diag(h)).copy()))
-
-    lam = max(_gershgorin(h) for _, _, h, _ in segs)
-    g_max = max(nv1.g, nv2.g)
     total = t1 - t0
-    dt = min(1.0 / (100.0 * g_max),
-             1.0 / (10.0 * lam),
-             (144.0 * _NORM_EPS / (lam ** 6 * total)) ** 0.2)
-    if dt_max is not None:
-        dt = min(dt, dt_max)
 
-    def run(step_target: float):
-        c = c0.copy()
-        theta = np.zeros(8)
-        ts, amps, thetas = [t0], [c.copy()], [theta.copy()]
-        for a, b, h, diag in segs:
-            dur = b - a
-            n = max(1, int(math.ceil(dur / step_target)))
-            dt_s = dur / n
-            p = _rk4_transfer(h, dt_s)
-            want = max(1, int(round(n_rec * dur / total)))
-            stride = max(1, n // want)
-            # each record is a fresh power applied to the segment-start
-            # state: the tiny modulus rounding of a repeated-stride matrix
-            # would otherwise compound once per record and show up as a
-            # systematic population drift on the dark state
-            c_seg = c
-            k = 0
-            while k < n:
-                k = min(k + stride, n)
-                c = np.linalg.matrix_power(p, k) @ c_seg
-                t = a + k * dt_s if k < n else b
-                ts.append(t)
-                amps.append(c.copy())
-                thetas.append(theta + diag * (t - a))
-            theta = theta + diag * dur
-        return np.asarray(ts), np.asarray(amps), np.asarray(thetas)
+    nvs = (params.nv1, params.nv2)
+    cuts = {t0, t1} | {e for p in schedule.pulses for e in (p.t_on, p.t_off)
+                       if t0 < e < t1}
+    edges = sorted(cuts)
 
-    ts, amps, thetas = run(dt)
-    norm_dev = abs(float(np.linalg.norm(amps[-1])) - 1.0)
-    if norm_dev > 1e-6:
-        raise StepConvergenceError(
-            f"norm drifted by {norm_dev:.2e} over the run; the step bound "
-            "(or dt_max) is too coarse for this schedule")
-    if convergence_check:
-        _, amps_half, _ = run(0.5 * dt)
-        err = float(np.linalg.norm(amps_half[-1] - amps[-1]))
-        if err > 1e-8:
-            raise StepConvergenceError(
-                f"halving the step moved the final state by {err:.2e} "
-                "(> 1e-8); integration has not converged")
+    theta = np.zeros(8)
+    ts, amps, thetas = [np.array([t0])], [c[None, :]], [theta[None, :]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        h = build_hamiltonian(0.5 * (a + b), nvs, params.omega_w, schedule)
+        diag = np.real(np.diag(h))
+        dur = b - a
+        n = max(1, round(n_rec * dur / total))
+        u = _expm(-1j * (dur / n) * h)
+        seg = np.empty((n, 8), dtype=complex)
+        for k in range(n):
+            c = u @ c
+            seg[k] = c
+        t = a + (dur / n) * np.arange(1, n + 1)
+        t[-1] = b
+        ts.append(t)
+        amps.append(seg)
+        thetas.append(theta + np.outer(t - a, diag))
+        theta = theta + diag * dur
 
-    return Trajectory(times=ts, amplitudes=amps, theta=thetas,
+    return Trajectory(times=np.concatenate(ts),
+                      amplitudes=np.concatenate(amps),
+                      theta=np.concatenate(thetas),
                       schedule=schedule, params=params)
 
 

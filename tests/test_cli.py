@@ -147,6 +147,34 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, text", [
+    pytest.param("gate-sim", "[gate]\ng1 = nan rad_s\n", id="g1-nan"),
+    pytest.param("gate-sim", "[gate]\ndelta_max = inf rad_s\n",
+                 id="delta_max-inf"),
+    pytest.param("gate-sim", "[pulses]\nsamples = inf\n", id="samples-inf"),
+    pytest.param("gate-sim", "[pulses]\nguard = fixed\nfixed_gap = nan s\n",
+                 id="fixed_gap-nan"),
+    pytest.param("disk-solve", "[disk]\nwavelength = nan um\n",
+                 id="wavelength-nan"),
+    pytest.param("disk-solve", "[disk]\nsolve_rows = 40 2.0; 40 nan\n",
+                 id="solve_rows-nan"),
+    pytest.param("coupling-sweep", "[chain]\nl_over_r = 2.0, 1.5\n",
+                 id="l_over_r-below-2"),
+    pytest.param("coupling-sweep", "[chain]\nl_over_r = 2.01, nan\n",
+                 id="l_over_r-nan"),
+])
+def test_bad_values_end_in_one_line_config_error(capsys, tmp_path, command,
+                                                 text):
+    p = tmp_path / "bad.ini"
+    p.write_text(text)
+    code, _, err = run(capsys, [command, "--config", str(p)])
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("diskchain: configuration error: [")
+
+
 def test_numerical_failure_exit_code(capsys, tmp_path):
     p = tmp_path / "shallow.ini"
     p.write_text("[gate]\ndelta_max = 1e11 rad_s\n")
