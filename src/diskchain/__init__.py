@@ -4,11 +4,9 @@ photon-mediated controlled-Z gate between two NV spins."""
 
 __version__ = "0.1.0"
 
-from .core import (CONSTANTS, PhysicalConstants, UNITS, UnitSystem,
-                   energy_to_freq, freq_to_energy, freq_to_wavelength,
-                   wavelength_to_freq)
-from .specfun import CylinderFnValue, bessel_j, bessel_y, cylinder_value, \
-    hankel1
+from .core import (CONSTANTS, PhysicalConstants, energy_to_freq,
+                   freq_to_energy, freq_to_wavelength, wavelength_to_freq)
+from .specfun import bessel_j, bessel_y, hankel1
 from .wgm import (BelowCutoffError, DiskGeometry, FieldProfile,
                   NoSolutionError, WgmMode, axial_norm_integral,
                   field_profile, radial_residual, slab_effective_index,
@@ -25,5 +23,3 @@ from .dynamics import (BASIS_LABELS, CzResult, DetuningPulse, GateFailure,
                        propagator_dispersive, propagator_resonant, run_cz)
 from .config import ConfigError, SimConfig, default_config, load_config
 from .verify import CheckResult, run_all
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CONSTANTS, HBAR_EV_S
+from .core import CONSTANTS, HBAR_EV_S, wavelength_to_freq
 from .specfun import bessel_j, hankel1
 from .wgm import (DiskGeometry, FieldProfile, WgmMode, axial_norm_integral,
                   field_profile, solve_mode)
@@ -313,7 +313,7 @@ def coupling_sweep(disk: DiskGeometry, L_values: Sequence[float],
     """
     mode = solve_mode(disk.radius, disk.azimuthal_number, lam0,
                       disk.refractive_index)
-    omega = 2.0 * math.pi * CONSTANTS.speed_of_light / lam0
+    omega = wavelength_to_freq(lam0)
     rows = []
     for L in L_values:
         ints = overlap_integrals(mode, L)

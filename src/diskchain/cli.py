@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import json
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import __version__
 from .chain import (QuadratureError, coupling_kappa, dispersion,
                     fit_loglinear, overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
-from .core import CONSTANTS
+from .core import CONSTANTS, wavelength_to_freq
 from .dynamics import (GateFailure, RegisterState, extract_phases,
                        logical_populations, run_cz)
 from .verify import run_all
@@ -138,7 +137,7 @@ def cmd_disk_solve(cfg: SimConfig, args) -> int:
 def _sweep_rows(cfg: SimConfig, threads: int):
     mode = solve_mode(cfg.disk.radius, cfg.disk.azimuthal_number,
                       cfg.wavelength, cfg.disk.refractive_index)
-    omega = 2.0 * math.pi * CONSTANTS.speed_of_light / cfg.wavelength
+    omega = wavelength_to_freq(cfg.wavelength)
 
     def one(lr):
         ints = overlap_integrals(mode, lr * cfg.disk.radius)
@@ -181,7 +180,7 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
 def cmd_dispersion(cfg: SimConfig, args) -> int:
     mode = solve_mode(cfg.disk.radius, cfg.disk.azimuthal_number,
                       cfg.wavelength, cfg.disk.refractive_index)
-    omega = 2.0 * math.pi * CONSTANTS.speed_of_light / cfg.wavelength
+    omega = wavelength_to_freq(cfg.wavelength)
     spacing = cfg.chain.spacing
     ints = overlap_integrals(mode, spacing)
     res = coupling_kappa(ints, omega)

@@ -96,24 +96,24 @@ def _parse(text: str, origin: str) -> configparser.ConfigParser:
     return cp
 
 
-def _merged(path) -> dict:
+def _merged(text, origin: str) -> dict:
+    """Section -> key -> raw value: the embedded defaults overlaid with
+    `text` (None: the defaults alone); `origin` names it in errors."""
     base = _parse(DEFAULT_CONFIG_TEXT, "<defaults>")
     values = {s: dict(base.items(s)) for s in base.sections()}
-    if path is None:
+    if text is None:
         return values
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    user = _parse(text, str(path))
+    user = _parse(text, origin)
     if not user.sections():
-        raise ConfigError(f"{path}: parse error: no sections found "
+        raise ConfigError(f"{origin}: parse error: no sections found "
                           "(expected [disk] / [chain] / [gate] / [pulses])")
     for section in user.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"{origin}: unknown section [{section}]")
         for key, val in user.items(section):
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
+                raise ConfigError(f"{origin}: unknown key '{key}' in [{section}]")
             values[section][key] = val
     return values
 
@@ -122,7 +122,20 @@ def load_config(path=None) -> SimConfig:
     """Build a SimConfig from an INI file, falling back to the embedded
     defaults for anything the file leaves out; path=None loads the
     defaults themselves."""
-    v = _merged(path)
+    text = None
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return _build(_merged(text, str(path)))
+
+
+def config_from_text(text: str) -> SimConfig:
+    """Parse configuration from a string, as load_config parses a file."""
+    return _build(_merged(text, "<string>"))
+
+
+def _build(v: dict) -> SimConfig:
+    """SimConfig from the merged raw values of _merged, validated."""
     disk_s, chain_s, gate_s, pulse_s = (v["disk"], v["chain"], v["gate"],
                                         v["pulses"])
 
@@ -152,9 +165,9 @@ def load_config(path=None) -> SimConfig:
             row = (int(parts[0]), float(parts[1]))
         except ValueError:
             raise ConfigError(f"[disk] solve_rows: bad pair {chunk!r}") from None
-        if not math.isfinite(row[1]):
-            raise ConfigError(
-                f"[disk] solve_rows: radius must be finite in {chunk!r}")
+        if not (row[0] >= 1 and math.isfinite(row[1]) and row[1] > 0.0):
+            raise ConfigError(f"[disk] solve_rows: need m >= 1 and a finite "
+                              f"radius > 0, got {chunk!r}")
         rows.append(row)
 
     l_over_r = []
@@ -210,16 +223,3 @@ def load_config(path=None) -> SimConfig:
 
 def default_config() -> SimConfig:
     return load_config(None)
-
-
-def config_from_text(text: str) -> SimConfig:
-    """Parse configuration from a string (used by tests and the CLI's
-    round-trip of embedded defaults)."""
-    import tempfile, os
-    fd, tmp = tempfile.mkstemp(suffix=".ini", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return load_config(tmp)
-    finally:
-        os.unlink(tmp)

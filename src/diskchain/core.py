@@ -54,28 +54,6 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Record of the unit conventions, mostly for table metadata.
-
-    time_unit is 1/omega_a(0), the unit used on the gate trajectory time
-    axis, where omega_a(0) is the unperturbed transition frequency of
-    the simulated register (2.95e15 rad/s by default).
-    """
-
-    length_unit: str = "um"
-    frequency_unit: str = "rad/s"
-    energy_unit: str = "eV"
-    omega_a0: float = 2.95e15
-
-    @property
-    def time_unit_s(self) -> float:
-        return 1.0 / self.omega_a0
-
-
-UNITS = UnitSystem()
-
-
 def freq_to_energy(omega: float) -> float:
     """hbar*omega in eV for an angular frequency omega in rad/s.
 

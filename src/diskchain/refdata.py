@@ -61,11 +61,6 @@ TABLE3_M50 = {
           4.1644441e-5, 7.5212790e-6),
 }
 
-HOPPING_TABLE_UNIT_EV = 1e-3
-
-# transition energy the hopping is normalised to in log columns
-E0_EV = 1.945
-
 # default configuration, used verbatim when no --config file is given
 DEFAULT_CONFIG_TEXT = """\
 [disk]

@@ -25,7 +25,6 @@ budget the solvers assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -46,32 +45,6 @@ def _check_order(m) -> int:
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
     return int(m)
-
-
-@dataclass(frozen=True)
-class CylinderFnValue:
-    """One tabulated function value, kept with its arguments.
-
-    The diagnostics tables emitted by the CLI carry these so a reported
-    number can always be traced back to (kind, order, argument).
-    """
-
-    kind: str      # "J", "Y" or "H1"
-    order: int
-    argument: float
-    value: complex
-
-
-def cylinder_value(kind: str, m: int, x: float) -> CylinderFnValue:
-    if kind == "J":
-        v: complex = complex(bessel_j(m, x))
-    elif kind == "Y":
-        v = complex(bessel_y(m, x))
-    elif kind == "H1":
-        v = hankel1(m, x)
-    else:
-        raise ValueError(f"unknown cylinder function kind {kind!r}")
-    return CylinderFnValue(kind, m, float(x), v)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ from . import refdata
 from .chain import FieldProfile, coupling_kappa, dispersion, fit_loglinear, \
     overlap_integrals
 from .config import SimConfig, default_config
-from .core import CONSTANTS
+from .core import wavelength_to_freq
 from .dynamics import (DetuningPulse, GateParams, PulseSchedule,
                        RegisterState, build_hamiltonian, evolve,
-                       excitation_expectation, extract_phases,
-                       logical_populations, make_cz_schedule,
-                       propagator_dispersive, propagator_resonant, run_cz)
+                       excitation_expectation, propagator_dispersive,
+                       propagator_resonant, run_cz)
 from .specfun import bessel_j, bessel_y
 from .wgm import solve_disk, solve_mode
 
@@ -83,7 +82,7 @@ _SWEEP_TABLES = ((40, refdata.TABLE2_M40), (50, refdata.TABLE3_M50))
 def hopping_data(cfg: SimConfig) -> tuple:
     """kappa in eV for every reference (m, R) row over the L/R grid;
     returns ({(m, R): [kappa_ev, ...]}, elapsed_seconds)."""
-    omega = 2.0 * math.pi * CONSTANTS.speed_of_light / cfg.wavelength
+    omega = wavelength_to_freq(cfg.wavelength)
     data = {}
     t0 = time.perf_counter()
     for m, table in _SWEEP_TABLES:
@@ -358,7 +357,7 @@ def check_specfun() -> list:
 def check_scaling(cfg: SimConfig) -> list:
     out = []
     mode = solve_mode(3.0, 40, cfg.wavelength, cfg.disk.refractive_index)
-    omega = 2.0 * math.pi * CONSTANTS.speed_of_light / cfg.wavelength
+    omega = wavelength_to_freq(cfg.wavelength)
     L = 2.21 * 3.0
 
     base = overlap_integrals(FieldProfile(mode, 1.0), L)

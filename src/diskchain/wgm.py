@@ -24,7 +24,7 @@ the design table), which simply measures how leaky those modes are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 from typing import Optional
 
@@ -174,66 +174,81 @@ def radial_residual(m: int, k: float, n_eff: float, R: float) -> complex:
     return n_eff * j1 / j0 - h1 / h0
 
 
-def _radial_lhs_grid(m: int, k: float, R: float, n_grid: np.ndarray) -> np.ndarray:
-    x = k * R * n_grid
-    j0 = bessel_j(m, x)
-    j1 = bessel_j(m + 1, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return n_grid * j1 / j0
+def _first_zero(m: int) -> float:
+    """j_{m,1}, the first positive zero of J_m, for m >= 1.
+
+    The large-order expansion (DLMF 10.21.40) is within 1 % even at
+    m = 1; Newton steps with J'_m = J_{m-1} - (m/x) J_m polish it to
+    rounding.
+    """
+    t = m ** (1.0 / 3.0)
+    x = (m + 1.8557571 * t + 1.033150 / t - 0.00397 / m
+         - 0.0908 / (m * t * t) + 0.043 / (m * m * t))
+    for _ in range(8):
+        j = bessel_j(m, x)
+        step = j / (bessel_j(m - 1, x) - m / x * j)
+        x -= step
+        if abs(step) < 1e-9 * x:
+            break
+    return x
 
 
 def solve_disk(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
                n_c: float = CONSTANTS.diamond_index) -> tuple:
     """Design the disk: (n_eff, h) of the TM_{m,1} mode at wavelength lam0.
 
-    Scans n_eff above the interior turning point m/(kR), brackets sign
-    changes of the real radial misfit, and keeps the first genuine root
-    (pole crossings of J_m masquerade as sign changes; they are rejected
-    because the misfit stays large at the bisected point).  The first
-    root above the turning point is the fundamental radial mode.
+    The fundamental radial order has x = k n_eff R in (max(kR, m), j_{m,1})
+    with n_eff < n_c.  There every term of x J_{m+1}(x)/J_m(x) =
+    sum_s 2x^2/(j_{m,s}^2 - x^2) rises, so the real radial misfit
+    n J_{m+1}/J_m - Re(H_{m+1}/H_m) rises strictly to +inf at j_{m,1}: the
+    bracket holds one root and no pole, and a root outside it is a higher
+    radial order.  The signs at the two ends decide whether the root
+    exists (past the cutoff it does not: NoSolutionError).  Newton steps,
+    with bisection wherever a step would leave the bracket, close it to
+    two adjacent doubles.  The derivative needs no further Bessel value:
+    with r = J_{m+1}/J_m, dr/dx = 1 - (2m + 1) r/x + r^2.
     """
-    if R <= 0.0 or lam0 <= 0.0:
+    if not (R > 0.0 and lam0 > 0.0):
         raise ValueError("solve_disk: R and lam0 must be > 0")
     m = int(m)
+    if m < 1:
+        raise ValueError(f"solve_disk: m must be >= 1, got {m}")
     k = 2.0 * math.pi / lam0
     if k * R * n_c <= m:
         raise NoSolutionError(
             f"solve_disk: k R n_c = {k * R * n_c:.2f} <= m = {m}; "
             "no interior oscillatory solution at this radius")
-    rhs_c = hankel1(m + 1, k * R) / hankel1(m, k * R)
-    rhs = rhs_c.real
-    n_lo = max(1.0, m / (k * R)) + 1e-6
-    n_hi = n_c - 1e-9
-    if n_lo >= n_hi:
-        raise NoSolutionError("solve_disk: empty n_eff search interval")
-    grid = np.linspace(n_lo, n_hi, 4001)
-    vals = _radial_lhs_grid(m, k, R, grid) - rhs
+    rhs = (hankel1(m + 1, k * R) / hankel1(m, k * R)).real
 
     def misfit(n):
-        return float(_radial_lhs_grid(m, k, R, np.array([n]))[0]) - rhs
+        """(misfit, d misfit / dn) at n."""
+        x = k * R * n
+        r = bessel_j(m + 1, x) / bessel_j(m, x)
+        return n * r - rhs, r + n * k * R * (1.0 - (2 * m + 1) * r / x + r * r)
 
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0.0:
-            continue
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            v = misfit(mid)
-            if not np.isfinite(v):
-                break
-            if (v > 0.0) == (b > 0.0):
-                hi = mid
+    lo = max(1.0, m / (k * R))
+    hi = min(n_c, _first_zero(m) / (k * R))
+    if lo < hi and misfit(lo)[0] < 0.0 and (hi < n_c or misfit(hi)[0] > 0.0):
+        n = 0.5 * (lo + hi)
+        for _ in range(100):
+            f, df = misfit(n)
+            if f > 0.0:
+                hi = n
             else:
-                lo = mid
-        root = 0.5 * (lo + hi)
-        # genuine root vs. pole of J_m: at a pole the misfit is still huge
-        if abs(misfit(root)) < 1e-3 * (1.0 + abs(rhs)):
-            h = thickness_for_index(k, root, n_c)
-            return root, h
-    raise NoSolutionError(f"solve_disk: no radial root for m={m}, R={R}")
+                lo = n
+            if math.nextafter(lo, hi) == hi:
+                break
+            nxt = n - f / df
+            if nxt == n:
+                # the step is below one ulp: close the bracket from this side
+                nxt = math.nextafter(n, lo if f > 0.0 else hi)
+            n = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        n = 0.5 * (lo + hi)
+        # a root within an ulp of 1 or n_c rounds onto the bracket end
+        if 1.0 < n < n_c:
+            return n, thickness_for_index(k, n, n_c)
+    raise NoSolutionError(
+        f"solve_disk: no fundamental-order radial root for m={m}, R={R}")
 
 
 def solve_mode(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
@@ -323,9 +338,6 @@ class FieldProfile:
 
     def __call__(self, rho, z, phi):
         return self.amplitude * field_profile(self.mode, rho, z, phi)
-
-    def with_amplitude(self, a: float) -> "FieldProfile":
-        return replace(self, amplitude=a)
 
 
 def axial_norm_integral(mode: WgmMode) -> float:

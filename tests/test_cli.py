@@ -1,8 +1,12 @@
 """Command-line interface, driven in process through main(argv)."""
 
 import json
+import math
 
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 import pytest
+from scipy.special import jn_zeros
 
 from diskchain.cli import main
 
@@ -52,13 +56,45 @@ def test_disk_solve_deterministic_and_threaded(capsys, small_cfg):
 
 def test_disk_solve_reports_unsolvable_rows(capsys, tmp_path):
     p = tmp_path / "bad_row.ini"
-    p.write_text("[disk]\nsolve_rows = 40 2.0; 40 0.5\n")
+    # 40 0.5 is below the oscillatory region; the other rows are past the
+    # fundamental cutoff, where only higher radial orders have roots
+    p.write_text("[disk]\nsolve_rows = 40 2.0; 40 0.5; 40 4.4; 40 5.0; "
+                 "43 4.8; 45 5.0; 40 40.0\n")
     code, out, _ = run(capsys, ["disk-solve", "--config", str(p)])
     assert code == 0
     _, rows = csv_body(out)
     assert rows[0][5] == "ok"
-    assert rows[1][5] == "no solution"
-    assert rows[1][2] == "" and rows[1][3] == ""
+    for row in rows[1:]:
+        assert row[5] == "no solution"
+        assert row[2] == "" and row[3] == ""
+
+
+@given(rows=st.lists(st.tuples(st.integers(-3, 80), st.floats(-1.0, 50.0)),
+                    min_size=1, max_size=4))
+@example(rows=[(40, 0.0)])
+@example(rows=[(40, 2.0), (40, 4.4), (1, 0.1), (80, 50.0)])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_disk_solve_rows_property(capsys, tmp_path, rows):
+    p = tmp_path / "rows.ini"
+    p.write_text("[disk]\nsolve_rows = "
+                 + "; ".join(f"{m} {R!r}" for m, R in rows) + "\n")
+    code, out, err = run(capsys, ["disk-solve", "--config", str(p)])
+    assert "Traceback" not in err
+    if any(m < 1 or not R > 0.0 for m, R in rows):
+        assert code == 1 and err.startswith("diskchain: configuration error:")
+        return
+    assert code == 0
+    _, table = csv_body(out)
+    assert len(table) == len(rows)
+    k = 2.0 * math.pi / 0.637
+    for m, R, n_eff, _, _, status in table:
+        if status == "ok":
+            m, R, n_eff = int(m), float(R), float(n_eff)
+            assert 1.0 < n_eff < 2.4
+            assert k * n_eff * R < jn_zeros(m, 1)[0]
+        else:
+            assert status == "no solution"
 
 
 def test_coupling_sweep_csv_and_json_agree(capsys, small_cfg, tmp_path):
@@ -158,6 +194,12 @@ def test_usage_errors(capsys, tmp_path):
                  id="wavelength-nan"),
     pytest.param("disk-solve", "[disk]\nsolve_rows = 40 2.0; 40 nan\n",
                  id="solve_rows-nan"),
+    pytest.param("disk-solve", "[disk]\nsolve_rows = -3 2.0\n",
+                 id="solve_rows-m-negative"),
+    pytest.param("disk-solve", "[disk]\nsolve_rows = 40 0\n",
+                 id="solve_rows-radius-zero"),
+    pytest.param("disk-solve", "[disk]\nsolve_rows = 40 -1.0\n",
+                 id="solve_rows-radius-negative"),
     pytest.param("coupling-sweep", "[chain]\nl_over_r = 2.0, 1.5\n",
                  id="l_over_r-below-2"),
     pytest.param("coupling-sweep", "[chain]\nl_over_r = 2.01, nan\n",

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from diskchain import (CONSTANTS, UNITS, energy_to_freq, freq_to_energy,
+from diskchain import (CONSTANTS, energy_to_freq, freq_to_energy,
                        freq_to_wavelength, wavelength_to_freq)
 
 
@@ -53,7 +53,3 @@ def test_conversion_domains(fn, bad):
     with pytest.raises(ValueError):
         fn(bad)
 
-
-def test_time_unit():
-    assert UNITS.omega_a0 == 2.95e15
-    assert math.isclose(UNITS.time_unit_s, 1.0 / 2.95e15, rel_tol=1e-12)

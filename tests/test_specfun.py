@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from diskchain import bessel_j, bessel_y, cylinder_value, hankel1
+from diskchain import bessel_j, bessel_y, hankel1
 
 ORDERS = (0, 1, 10, 40, 50)
 ARGUMENTS = (0.05, 0.5, 1.0, 5.0, 12.9, 13.1, 30.0, 77.0, 100.0)
@@ -116,18 +116,10 @@ def test_vectorised_shapes():
     lambda: bessel_y(0, 0.0),
     lambda: bessel_y(0, -1.0),
     lambda: hankel1(3, 0.0),
-    lambda: cylinder_value("K", 0, 1.0),
 ])
 def test_domain_errors(call):
     with pytest.raises(ValueError):
         call()
-
-
-def test_cylinder_value_record():
-    v = cylinder_value("H1", 40, 19.7)
-    assert v.kind == "H1" and v.order == 40 and v.argument == 19.7
-    assert v.value == hankel1(40, 19.7)
-    assert cylinder_value("J", 2, 3.0).value == complex(bessel_j(2, 3.0))
 
 
 @given(m=st.integers(0, 60), x=st.floats(0.05, 150.0))

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 import oracles
 from diskchain import (BelowCutoffError, CONSTANTS, DiskGeometry,
                        NoSolutionError, WgmMode, field_profile,
                        radial_residual, slab_effective_index, solve_disk,
                        solve_mode, thickness_for_index)
+from diskchain.wgm import _first_zero
 
 K0 = CONSTANTS.k0
 NC = 2.4
@@ -107,6 +109,14 @@ def test_solve_disk_below_oscillation():
         solve_disk(0.5, 40)
     with pytest.raises(ValueError):
         solve_disk(-1.0, 40)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        solve_disk(2.0, 0)
+
+
+def test_first_zero_against_scipy():
+    for m in range(1, 81):
+        ref = jn_zeros(m, 1)[0]
+        assert abs(_first_zero(m) - ref) <= 1e-13 * ref, m
 
 
 def test_geometry_validation():
