@@ -52,6 +52,8 @@ class ChainGeometry:
     bloch: float = 0.0      # the product K*L, radians, first Brillouin zone
 
     def __post_init__(self):
+        if not math.isfinite(self.spacing):
+            raise ValueError(f"spacing: must be finite, got {self.spacing}")
         if self.spacing < 2.0 * self.disk.radius:
             raise ValueError(
                 f"spacing: disks overlap, need L >= 2R = {2 * self.disk.radius} um, "
@@ -114,15 +116,25 @@ class CouplingResult:
 
 
 def _transverse(mode: WgmMode, L: float, n_r: int, n_phi: int) -> tuple:
-    """Transverse-plane integrals over the disk-0 interior (and the
-    displaced copy for the neighbour-overlap of E0^2).
+    """Transverse-plane integrals over the disk-0 interior.
 
     Returns (I00, I01, Ida):
       I00 = int E0^2,  I01 = int E0 * Re(E1),  Ida = int |E0(at neighbour)|^2,
     where E0 is the interior field of disk 0 and E1 the exterior branch of
     the neighbour at x = L.  Gauss-Legendre radially, uniform grid in phi
     (both integrands are smooth and 2pi-periodic, so the trapezoid rule in
-    phi converges spectrally).
+    phi converges spectrally).  Three exact identities keep every field
+    value to one evaluation:
+
+    * the radial factor of E0 depends on rho only, so J_m is evaluated on
+      the n_r radii and broadcast against cos(m phi);
+    * Ida needs no displaced grid: phi -> phi + pi maps the neighbour's
+      interior grid point for point onto the disk-0 grid with the roles
+      of the two disks swapped, so int_disk1 |E0|^2 = int_disk0 |E1|^2;
+    * E0, Re E1 and |E1|^2 are even in phi, so the sum runs over [0, pi]
+      with weight 2 dphi inside and dphi at phi = 0 and phi = pi.
+
+    The last two need n_phi even, so that phi = pi and phi + pi are nodes.
     """
     geo = mode.geometry
     R, m = geo.radius, geo.azimuthal_number
@@ -130,37 +142,25 @@ def _transverse(mode: WgmMode, L: float, n_r: int, n_phi: int) -> tuple:
 
     xg, wg = np.polynomial.legendre.leggauss(n_r)
     rho = 0.5 * R * (xg + 1.0)
-    wr = 0.5 * R * wg
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     dphi = 2.0 * math.pi / n_phi
-
-    RR, PP = np.meshgrid(rho, phi, indexing="ij")
-    W = (wr[:, None] * RR) * dphi
-
-    jR = bessel_j(m, k * n_eff * R)
-    hR = hankel1(m, k * R)
+    phi = dphi * np.arange(n_phi // 2 + 1)
+    wphi = np.full(phi.size, 2.0 * dphi)
+    wphi[[0, -1]] = dphi
+    W = (0.5 * R * wg * rho)[:, None] * wphi
 
     # disk-0 interior field, standing-wave azimuthal factor
-    E0 = (bessel_j(m, (k * n_eff) * RR) / jR) * np.cos(m * PP)
+    E0 = ((bessel_j(m, (k * n_eff) * rho) / bessel_j(m, k * n_eff * R))[:, None]
+          * np.cos(m * phi))
 
     # neighbour exterior field evaluated on the disk-0 interior
-    X = RR * np.cos(PP)
-    Y = RR * np.sin(PP)
-    rho1 = np.hypot(X - L, Y)
-    phi1 = np.arctan2(Y, X - L)
-    E1 = (hankel1(m, k * rho1) / hR) * np.cos(m * phi1)
+    dx = rho[:, None] * np.cos(phi) - L
+    dy = rho[:, None] * np.sin(phi)
+    E1 = ((hankel1(m, k * np.hypot(dx, dy)) / hankel1(m, k * R))
+          * np.cos(m * np.arctan2(dy, dx)))
 
     I00 = float(np.sum(W * E0 * E0))
     I01 = float(np.sum(W * E0 * E1.real))
-
-    # disk-0 exterior field evaluated on the neighbour interior (for
-    # delta_alpha); same grid displaced to the neighbour centre
-    X1 = L + RR * np.cos(PP)
-    Y1 = RR * np.sin(PP)
-    rho0 = np.hypot(X1, Y1)
-    phi0 = np.arctan2(Y1, X1)
-    E0n = (hankel1(m, k * rho0) / hR) * np.cos(m * phi0)
-    Ida = float(np.sum(W * np.abs(E0n) ** 2))
+    Ida = float(np.sum(W * (E1.real ** 2 + E1.imag ** 2)))
     return I00, I01, Ida
 
 
@@ -179,9 +179,9 @@ def overlap_integrals(mode, L: float, rtol: float = 5e-3,
     else:
         amp = 1.0
     geo = mode.geometry
-    if abs(L) < 2.0 * geo.radius:
-        raise ValueError(f"overlap_integrals: need |L| >= 2R, got L={L}, "
-                         f"R={geo.radius}")
+    if not 2.0 * geo.radius <= abs(L) < math.inf:
+        raise ValueError(f"overlap_integrals: need finite |L| >= 2R, got "
+                         f"L={L}, R={geo.radius}")
     m = geo.azimuthal_number
     n_r = int(n_radial)
     n_phi = 8 * m

@@ -95,10 +95,15 @@ class NvParams:
     delta_max: float = 1e12
 
     def __post_init__(self):
-        if self.omega_a0 <= 0.0:
-            raise ValueError(f"omega_a0: must be > 0, got {self.omega_a0}")
-        if self.g <= 0.0:
-            raise ValueError(f"g: must be > 0, got {self.g}")
+        if not 0.0 < self.omega_a0 < math.inf:
+            raise ValueError(
+                f"omega_a0: must be > 0 and finite, got {self.omega_a0}")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError(f"g: must be > 0 and finite, got {self.g}")
+        if not math.isfinite(self.D_g):
+            raise ValueError(f"D_g: must be finite, got {self.D_g}")
+        if not math.isfinite(self.delta_max):
+            raise ValueError(f"delta_max: must be finite, got {self.delta_max}")
         omega_w = self.omega_a0 + self.delta_max
         if abs(self.g) / omega_w >= 1e-3:
             raise ValueError(
@@ -128,10 +133,11 @@ class GateParams:
     def __post_init__(self):
         if self.guard not in ("calibrated", "fixed"):
             raise ValueError(f"guard: 'calibrated' or 'fixed', got {self.guard!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon: must be > 0, got {self.epsilon}")
-        if self.samples < 2:
-            raise ValueError(f"samples: need at least 2, got {self.samples}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(
+                f"epsilon: must be > 0 and finite, got {self.epsilon}")
+        if not 2 <= self.samples < math.inf:
+            raise ValueError(f"samples: need a finite count >= 2, got {self.samples}")
         # delegate the physical-regime checks
         self.nv1
         self.nv2
@@ -235,8 +241,8 @@ def make_cz_schedule(params: GateParams) -> PulseSchedule:
     T1, T2, dmax = params.T1, params.T2, params.delta_max
     if params.guard == "fixed":
         gap = params.fixed_gap if params.fixed_gap is not None else 5.0 * T1
-        if gap < 0.0:
-            raise ValueError(f"fixed_gap: must be >= 0, got {gap}")
+        if not 0.0 <= gap < math.inf:
+            raise ValueError(f"fixed_gap: must be >= 0 and finite, got {gap}")
         lead = tail = 0.0
         gap1 = gap2 = gap
     else:

@@ -9,10 +9,10 @@ implementations here follow the classical numeric recipes:
   correct for m < x, so a single code path serves both sides of the
   whispering-gallery turning point.
 * Y_m: upward recurrence from Y_0, Y_1.  The seeds come from the ascending
-  log series for x <= 13 (summed with math.fsum, the series loses ~5
-  digits to cancellation near the seam) and from the Hankel P/Q asymptotic
-  expansion beyond.  Upward recurrence is stable for Y because Y_m grows
-  with m.
+  log series for x <= 13 (summed across all lanes at once; the series
+  loses ~5 digits to cancellation near the seam) and from the Hankel P/Q
+  asymptotic expansion beyond.  Upward recurrence is stable for Y because
+  Y_m grows with m.
 * H_m^(1) = J_m + i Y_m.
 
 Everything accepts scalars or numpy arrays of the argument; arrays are the
@@ -109,39 +109,29 @@ def bessel_j(m: int, x):
 # Y_0, Y_1 seeds
 
 
-def _y0_series(x: float) -> float:
-    j0 = float(_bessel_j_arr(0, np.array([x]))[0])
-    lg = math.log(0.5 * x) + EULER_GAMMA
-    y = 0.25 * x * x
-    terms = []
-    term, hk = 1.0, 0.0
-    for k in range(1, 200):
-        term *= y / (k * k)
-        hk += 1.0 / k
-        t = ((-1.0) ** (k + 1)) * hk * term
-        terms.append(t)
-        if abs(t) < 1e-18 and k > 8:
-            break
-    s = math.fsum(terms)
-    return (2.0 / math.pi) * (lg * j0 + s)
+def _y01_series(n: int, x: np.ndarray) -> np.ndarray:
+    """Ascending series of Y_n, n in {0, 1} (DLMF 10.8.1),
 
+      pi Y_n = 2 ln(x/2) J_n - n (2/x)
+               - sum_k (-1)^k (psi(k+1) + psi(k+n+1)) (x/2)^(2k+n) / (k! (k+n)!),
 
-def _y1_series(x: float) -> float:
-    j1 = float(_bessel_j_arr(1, np.array([x]))[0])
-    lg = math.log(0.5 * x) + EULER_GAMMA
+    with psi(j+1) = H_j - gamma.  All lanes are summed at once until every
+    lane's term is below 1e-18.
+    """
     y = 0.25 * x * x
-    terms = []
-    term, hk = 1.0, 0.0
-    for k in range(0, 200):
-        hk1 = hk + 1.0 / (k + 1)
-        t = ((-1.0) ** k) * 0.5 * (hk + hk1) * term
-        terms.append(t)
-        if abs(t) < 1e-18 and k > 8:
+    term = (0.5 * x) ** n             # (x/2)^(2k+n) / (k! (k+n)!)
+    hk, hkn = 0.0, float(n)           # harmonic numbers H_k, H_{k+n}
+    s = np.zeros_like(x)
+    for k in range(200):
+        t = (hk + hkn) * term
+        s += -t if k % 2 else t
+        if k > 8 and np.all(np.abs(t) < 1e-18):
             break
-        term *= y / ((k + 1) * (k + 2))
-        hk = hk1
-    s = math.fsum(terms)
-    return (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * x) - (x / math.pi) * s
+        term = term * y / ((k + 1) * (k + 1 + n))
+        hk += 1.0 / (k + 1)
+        hkn += 1.0 / (k + 1 + n)
+    lg = np.log(0.5 * x) + EULER_GAMMA
+    return (2.0 * lg * _bessel_j_arr(n, x) - s - 2.0 * n / x) / math.pi
 
 
 def _y01_asymptotic(n: int, x: np.ndarray) -> np.ndarray:
@@ -174,8 +164,7 @@ def _y01(n: int, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     low = x <= _Y_SEAM
     if low.any():
-        fn = _y0_series if n == 0 else _y1_series
-        out[low] = [fn(float(v)) for v in x[low]]
+        out[low] = _y01_series(n, x[low])
     high = ~low
     if high.any():
         out[high] = _y01_asymptotic(n, x[high])

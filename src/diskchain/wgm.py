@@ -56,12 +56,13 @@ class DiskGeometry:
     thickness: Optional[float] = None
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError(f"radius: must be > 0, got {self.radius}")
-        if self.thickness is not None and self.thickness <= 0.0:
-            raise ValueError(f"thickness: must be > 0, got {self.thickness}")
-        if self.refractive_index <= 1.0:
-            raise ValueError("refractive_index: n_c > 1 required, got "
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius: must be > 0 and finite, got {self.radius}")
+        if self.thickness is not None and not 0.0 < self.thickness < math.inf:
+            raise ValueError("thickness: must be > 0 and finite, got "
+                             f"{self.thickness}")
+        if not 1.0 < self.refractive_index < math.inf:
+            raise ValueError("refractive_index: finite n_c > 1 required, got "
                              f"{self.refractive_index}")
         if int(self.azimuthal_number) != self.azimuthal_number or self.azimuthal_number < 1:
             raise ValueError("azimuthal_number: integer >= 1 required, got "

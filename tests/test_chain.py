@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from diskchain import (CONSTANTS, ChainGeometry, DiskGeometry, FieldProfile,
-                       OverlapIntegrals, QuadratureError, ValidityWarning,
-                       chain_field, coupling_kappa, coupling_sweep,
-                       dispersion, field_profile, fit_loglinear,
-                       overlap_integrals)
+                       GateParams, NvParams, OverlapIntegrals,
+                       QuadratureError, ValidityWarning, chain_field,
+                       coupling_kappa, coupling_sweep, dispersion,
+                       field_profile, fit_loglinear, make_cz_schedule,
+                       overlap_integrals, solve_mode)
+import diskchain.chain as chain_module
+from diskchain.chain import _transverse
 from diskchain.core import HBAR_EV_S
 
 OMEGA = 2.0 * math.pi * CONSTANTS.speed_of_light / CONSTANTS.zpl_wavelength
@@ -60,6 +64,87 @@ def test_quadrature_error_when_levels_exhausted(mode_m40_r2):
 def test_spacing_guard(mode_m40_r2):
     with pytest.raises(ValueError, match="2R"):
         overlap_integrals(mode_m40_r2, 3.9)
+
+
+NAN, INF = float("nan"), float("inf")
+DISK = DiskGeometry(radius=2.0, azimuthal_number=40)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda mode: DiskGeometry(radius=NAN, azimuthal_number=40), "radius"),
+    (lambda mode: DiskGeometry(radius=INF, azimuthal_number=40), "radius"),
+    (lambda mode: DiskGeometry(2.0, 40, refractive_index=INF),
+     "refractive_index"),
+    (lambda mode: DiskGeometry(2.0, 40, refractive_index=NAN),
+     "refractive_index"),
+    (lambda mode: DiskGeometry(2.0, 40, thickness=NAN), "thickness"),
+    (lambda mode: ChainGeometry(disk=DISK, spacing=NAN), "spacing"),
+    (lambda mode: ChainGeometry(disk=DISK, spacing=INF), "spacing"),
+    (lambda mode: overlap_integrals(mode, NAN), "2R"),
+    (lambda mode: overlap_integrals(mode, INF), "2R"),
+    (lambda mode: overlap_integrals(mode, -INF), "2R"),
+    (lambda mode: NvParams(NAN, 1e10), "omega_a0"),
+    (lambda mode: NvParams(INF, 1e10), "omega_a0"),
+    (lambda mode: NvParams(2.95e15, NAN), "g:"),
+    (lambda mode: NvParams(2.95e15, 1e10, D_g=NAN), "D_g"),
+    (lambda mode: NvParams(2.95e15, 1e10, delta_max=INF), "delta_max"),
+    (lambda mode: GateParams(g1=NAN), "g:"),
+    (lambda mode: GateParams(delta_max=NAN), "delta_max"),
+    (lambda mode: GateParams(epsilon=NAN), "epsilon"),
+    (lambda mode: GateParams(epsilon=INF), "epsilon"),
+    (lambda mode: GateParams(samples=NAN), "samples"),
+    (lambda mode: make_cz_schedule(GateParams(guard="fixed", fixed_gap=NAN)),
+     "fixed_gap"),
+])
+def test_non_finite_values_raise_naming_the_field(mode_m40_r2, call, field):
+    # nan passes every `x <= 0` test and inf every `x > 1` test, so each
+    # of these used to be accepted or to fail deep inside specfun
+    with pytest.raises(ValueError, match=field):
+        call(mode_m40_r2)
+
+
+@pytest.mark.parametrize("m, R", [(40, 2.0), (40, 3.0), (45, 2.6), (50, 2.9)])
+def test_transverse_matches_full_mesh_oracle(m, R):
+    # the oracle evaluates every field on the full period and Ida on the
+    # displaced grid, with scipy; the package uses the radial line, the
+    # mirror identity and the half period on the same nodes.  At
+    # L/R = 2.49 the I01 sum cancels by about 1e3.
+    mode = solve_mode(R, m)
+    n_r, n_phi = 96, 8 * m       # first level of overlap_integrals
+    for lr in (2.01, 2.21, 2.49):
+        for L in (lr * R, -lr * R):
+            got = _transverse(mode, L, n_r, n_phi)
+            ref = oracles.transverse_ref(mode, L, n_r, n_phi)
+            for name, g, r in zip(("I00", "I01", "Ida"), got, ref):
+                assert abs(g - r) <= 1e-12 * abs(r), (name, L, g, r)
+
+
+def test_transverse_evaluates_one_field_mesh(mode_m40_r2, monkeypatch):
+    # per level: J_m on the radii, H_m on one half-period mesh, plus the
+    # two scalar normalisations
+    calls = []
+
+    def recording(name):
+        fn = getattr(chain_module, name)
+
+        def record(m, x):
+            calls.append((name, np.shape(x)))
+            return fn(m, x)
+        return record
+
+    for name in ("bessel_j", "hankel1"):
+        monkeypatch.setattr(chain_module, name, recording(name))
+    _transverse(mode_m40_r2, 4.42, 96, 320)
+    assert sorted(calls) == [("bessel_j", ()), ("bessel_j", (96,)),
+                             ("hankel1", ()), ("hankel1", (96, 161))]
+
+
+def test_mirror_identity_for_ida(mode_m40_r2):
+    # int over disk 1 of |E0|^2 equals int over disk 0 of |E1|^2
+    displaced = oracles.transverse_ref(mode_m40_r2, 4.42, 96, 320)[2]
+    mirrored = oracles.transverse_ref(mode_m40_r2, 4.42, 96, 320,
+                                      mirror=True)[2]
+    assert mirrored == pytest.approx(displaced, rel=1e-12)
 
 
 def test_amplitude_cancels_from_kappa(mode_m40_r2, ints_m40_r2):

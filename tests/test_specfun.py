@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.special
 
 import oracles
 from diskchain import bessel_j, bessel_y, hankel1
@@ -40,6 +41,16 @@ def test_j_against_series_oracle(m, x):
 @pytest.mark.parametrize("x", ARGUMENTS)
 def test_y_against_series_oracle(m, x):
     assert agrees_to_ten_digits(bessel_y(m, x), oracles.bessel_y_ref(m, x))
+
+
+@pytest.mark.parametrize("m", (0, 1, 40))
+def test_y_matches_scipy_across_seam(m):
+    # a dense array across the x = 13 seam of the Y_0 / Y_1 seeds, so the
+    # array-wide ascending series meets the asymptotic side
+    x = np.append(np.linspace(0.05, 30.0, 4001), [12.999999, 13.0, 13.000001])
+    got = bessel_y(m, x)
+    ref = scipy.special.yn(m, x)
+    assert all(agrees_to_ten_digits(g, r) for g, r in zip(got, ref))
 
 
 def test_known_values():
