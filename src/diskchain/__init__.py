@@ -15,11 +15,11 @@ from .chain import (ChainGeometry, CouplingResult, OverlapIntegrals,
                     QuadratureError, SweepRow, ValidityWarning, chain_field,
                     coupling_kappa, coupling_sweep, dispersion, fit_loglinear,
                     overlap_integrals)
-from .dynamics import (BASIS_LABELS, CzResult, DetuningPulse, GateFailure,
-                       GateParams, NvParams, PhaseReport, PulseSchedule,
-                       RegisterState, Trajectory, aux_leakage,
-                       build_hamiltonian, evolve, excitation_expectation,
-                       extract_phases, logical_populations, make_cz_schedule,
+from .dynamics import (CzResult, DetuningPulse, GateFailure, GateParams,
+                       NvParams, PhaseReport, PulseSchedule, RegisterState,
+                       Trajectory, aux_leakage, build_hamiltonian, evolve,
+                       excitation_expectation, extract_phases,
+                       logical_populations, make_cz_schedule,
                        propagator_dispersive, propagator_resonant, run_cz)
 from .config import ConfigError, SimConfig, default_config, load_config
 from .verify import CheckResult, run_all

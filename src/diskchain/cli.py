@@ -207,8 +207,9 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
 
 def cmd_gate_sim(cfg: SimConfig, args) -> int:
     params = cfg.gate
-    basis_runs = [run_cz(RegisterState.basis(i), params) for i in range(4)]
-    sup = run_cz(RegisterState.logical_superposition(), params)
+    *basis_runs, sup = run_cz(
+        [RegisterState.basis(i) for i in range(4)]
+        + [RegisterState.logical_superposition()], params)
 
     traj = sup.trajectory
     report = extract_phases(traj)
@@ -216,14 +217,10 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
     aux = 1.0 - pops.sum(axis=1)
     scale = params.omega_a0
 
-    rows = []
-    for n, t in enumerate(traj.times):
-        row = [t * scale, float(pops[n, 0]), float(pops[n, 1]),
-               float(pops[n, 2]), float(pops[n, 3]), float(aux[n])]
-        for i in range(4):
-            row.append(float(report.phases[n, i])
-                       if report.valid[n, i] else None)
-        rows.append(row)
+    rows = np.column_stack(
+        (traj.times * scale, pops, aux, report.phases[:, :4])).tolist()
+    for n, i in zip(*np.nonzero(~report.valid[:, :4])):
+        rows[n][6 + i] = None
 
     meta = _base_metadata("gate-sim", cfg, args)
     meta.update({

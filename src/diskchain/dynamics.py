@@ -58,13 +58,8 @@ import numpy as np
 
 from .core import CONSTANTS
 
-BASIS_LABELS = (
-    "|g1,g2;1>", "|g1,+2;1>", "|+1,g2;1>", "|+1,+2;1>",
-    "|e1,g2;0>", "|g1,e2;0>", "|e1,+2;0>", "|+1,e2;0>",
-)
 DARK_INDEX = 3
 LOGICAL_INDICES = (0, 1, 2, 3)
-AUX_INDICES = (4, 5, 6, 7)
 
 # (bright state, excited partner, coupling qubit) for the four transitions
 _COUPLING_PAIRS = ((0, 4, 1), (1, 6, 1), (0, 5, 2), (2, 7, 2))
@@ -272,13 +267,6 @@ def make_cz_schedule(params: GateParams) -> PulseSchedule:
 # states
 
 
-def _as_amplitudes(values) -> np.ndarray:
-    c = np.asarray(values, dtype=complex)
-    if c.shape != (8,):
-        raise ValueError(f"need 8 amplitudes, got shape {c.shape}")
-    return c
-
-
 @dataclass(frozen=True)
 class RegisterState:
     """Normalised amplitudes over the eight basis states, in basis order."""
@@ -286,7 +274,9 @@ class RegisterState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        c = _as_amplitudes(self.amplitudes)
+        c = np.asarray(self.amplitudes, dtype=complex)
+        if c.shape != (8,):
+            raise ValueError(f"need 8 amplitudes, got shape {c.shape}")
         object.__setattr__(self, "amplitudes", c)
         norm = float(np.linalg.norm(c))
         if abs(norm - 1.0) > 1e-9:
@@ -308,9 +298,6 @@ class RegisterState:
 
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def logical_populations(amplitudes) -> np.ndarray:
@@ -416,7 +403,7 @@ class Trajectory:
     argument into the reported (co-moving) phase."""
 
     times: np.ndarray          # (n,)
-    amplitudes: np.ndarray     # (n, 8) complex
+    amplitudes: np.ndarray     # (n, 8), or (n, k, 8) for a block; complex
     theta: np.ndarray          # (n, 8) float
     schedule: PulseSchedule
     params: Optional[GateParams] = None
@@ -437,8 +424,16 @@ def evolve(state, schedule: PulseSchedule, params: GateParams,
     U = exp(-i H tau).  The trajectory holds the start state and every
     record; the last record of a segment falls exactly on its end, so
     `records` (default params.samples) gives about records + 1 rows.
+
+    `state` is one state (a RegisterState or 8 amplitudes), giving (n, 8)
+    amplitudes, or a (k, 8) block of states advanced together by each
+    segment's one U, giving (n, k, 8); times and theta are shared.
     """
-    c = state.amplitudes if isinstance(state, RegisterState) else _as_amplitudes(state)
+    c0 = (state.amplitudes if isinstance(state, RegisterState)
+          else np.asarray(state, dtype=complex))
+    if c0.ndim not in (1, 2) or c0.shape[-1] != 8:
+        raise ValueError(
+            f"need 8 amplitudes or a (k, 8) block, got shape {c0.shape}")
     t0, t1 = t_span if t_span is not None else (0.0, schedule.duration)
     if not t1 > t0:
         raise ValueError(f"t_span: need t1 > t0, got ({t0}, {t1})")
@@ -450,15 +445,19 @@ def evolve(state, schedule: PulseSchedule, params: GateParams,
                        if t0 < e < t1}
     edges = sorted(cuts)
 
+    # a stack of (8, 1) columns: matmul takes one matrix-vector product per
+    # state, the arithmetic of a single-state run, so blocking moves no
+    # state's records
+    c = c0.reshape(-1, 8, 1)
     theta = np.zeros(8)
-    ts, amps, thetas = [np.array([t0])], [c[None, :]], [theta[None, :]]
+    ts, amps, thetas = [np.array([t0])], [c[None]], [theta[None, :]]
     for a, b in zip(edges[:-1], edges[1:]):
         h = build_hamiltonian(0.5 * (a + b), nvs, params.omega_w, schedule)
         diag = np.real(np.diag(h))
         dur = b - a
         n = max(1, round(n_rec * dur / total))
         u = _expm(-1j * (dur / n) * h)
-        seg = np.empty((n, 8), dtype=complex)
+        seg = np.empty((n,) + c.shape, dtype=complex)
         for k in range(n):
             c = u @ c
             seg[k] = c
@@ -470,7 +469,7 @@ def evolve(state, schedule: PulseSchedule, params: GateParams,
         theta = theta + diag * dur
 
     return Trajectory(times=np.concatenate(ts),
-                      amplitudes=np.concatenate(amps),
+                      amplitudes=np.concatenate(amps).reshape((-1,) + c0.shape),
                       theta=np.concatenate(thetas),
                       schedule=schedule, params=params)
 
@@ -511,29 +510,23 @@ class PhaseReport:
 def extract_phases(trajectory: Trajectory,
                    floor: float = _PHASE_FLOOR) -> PhaseReport:
     amps = trajectory.amplitudes
-    w = amps * np.exp(1j * trajectory.theta)
+    angle = np.angle(amps * np.exp(1j * trajectory.theta))
     valid = np.abs(amps) >= floor
     n = amps.shape[0]
+    # each contiguous valid run [start, stop) of a column is unwrapped on
+    # its own; nonzero lists starts and stops in the same (column, row) order
+    step = np.diff(valid.T.astype(np.int8), axis=1, prepend=0, append=0)
+    cols, starts = np.nonzero(step == 1)
+    stops = np.nonzero(step == -1)[1]
     phases = np.zeros((n, 8))
-    final = np.zeros(8)
-    for i in range(8):
-        col = valid[:, i]
-        last = 0.0
-        j = 0
-        while j < n:
-            if not col[j]:
-                phases[j, i] = last
-                j += 1
-                continue
-            k = j
-            while k < n and col[k]:
-                k += 1
-            run = np.unwrap(np.angle(w[j:k, i]))
-            phases[j:k, i] = run
-            last = float(run[-1])
-            j = k
-        idx = np.nonzero(col)[0]
-        final[i] = _fold(float(phases[idx[-1], i])) if idx.size else 0.0
+    for i, j, k in zip(cols, starts, stops):
+        phases[j:k, i] = np.unwrap(angle[j:k, i])
+    # a gap carries the last valid phase forward (0 before the first run)
+    last = np.maximum.accumulate(
+        np.where(valid, np.arange(n)[:, None], -1), axis=0)
+    phases = np.where(last >= 0, phases[np.maximum(last, 0), np.arange(8)], 0.0)
+    final = np.array([_fold(float(phases[-1, i])) if last[-1, i] >= 0 else 0.0
+                      for i in range(8)])
     return PhaseReport(times=trajectory.times, phases=phases, valid=valid,
                        final=final)
 
@@ -556,46 +549,57 @@ class CzResult:
     schedule: PulseSchedule
 
 
-def run_cz(initial, params: GateParams = GateParams()) -> CzResult:
+def run_cz(initial, params: GateParams = GateParams()):
     """Run the full controlled-Z sequence from the given initial state.
 
-    Raises GateFailure when the final leakage out of the logical space
-    exceeds params.epsilon.  Phase and amplitude deviations from the
-    ideal diag(-1,-1,-1,+1) are reported in the result (the schedule's
-    calibration keeps them small, but they are diagnostics, not a gate
-    on the run).
+    `initial` is one RegisterState, giving one CzResult, or a sequence of
+    states (RegisterStates or 8 amplitudes each), propagated as one block
+    and giving a tuple of CzResults in the same order; each result's
+    trajectory is an (n, 8) view of the block and shares its theta.
+
+    Raises GateFailure for the first state whose final leakage out of the
+    logical space exceeds params.epsilon.  Phase and amplitude deviations
+    from the ideal diag(-1,-1,-1,+1) are reported in the result (the
+    schedule's calibration keeps them small, but they are diagnostics,
+    not a gate on the run).
     """
-    if not isinstance(initial, RegisterState):
-        initial = RegisterState(_as_amplitudes(initial))
+    single = isinstance(initial, RegisterState)
+    states = [s if isinstance(s, RegisterState) else RegisterState(s)
+              for s in ([initial] if single else initial)]
     schedule = make_cz_schedule(params)
     schedule.validate_against(params)
-    traj = evolve(initial, schedule, params)
+    block = evolve(np.array([s.amplitudes for s in states]), schedule, params)
 
-    leak_t = 1.0 - np.sum(logical_populations(traj.amplitudes), axis=1)
-    leakage = float(leak_t[-1])
-    peak = float(np.max(leak_t))
+    results = []
+    for i, state in enumerate(states):
+        traj = Trajectory(times=block.times, amplitudes=block.amplitudes[:, i],
+                          theta=block.theta, schedule=schedule, params=params)
+        leak_t = 1.0 - np.sum(logical_populations(traj.amplitudes), axis=1)
+        leakage = float(leak_t[-1])
+        peak = float(np.max(leak_t))
 
-    # fold the co-moving phase into the final amplitudes before comparing
-    # against the ideal gate, so the comparison is frame-consistent
-    w_final = traj.amplitudes[-1] * np.exp(1j * traj.theta[-1])
-    ideal = _CZ_SIGNS * initial.amplitudes[:4]
-    amp_err = float(np.max(np.abs(w_final[:4] - ideal)))
+        # fold the co-moving phase into the final amplitudes before comparing
+        # against the ideal gate, so the comparison is frame-consistent
+        w_final = traj.amplitudes[-1] * np.exp(1j * traj.theta[-1])
+        ideal = _CZ_SIGNS * state.amplitudes[:4]
+        amp_err = float(np.max(np.abs(w_final[:4] - ideal)))
 
-    report = extract_phases(traj)
-    if leakage > params.epsilon:
-        raise GateFailure(
-            f"population left outside the qubit space: {leakage:.3e} > "
-            f"epsilon = {params.epsilon:.1e}",
-            diagnostics={
-                "leakage": leakage,
-                "peak_leakage": peak,
-                "populations": np.abs(w_final) ** 2,
-                "final_phases": report.final,
-                "epsilon": params.epsilon,
-            })
+        report = extract_phases(traj)
+        if leakage > params.epsilon:
+            raise GateFailure(
+                f"population left outside the qubit space: {leakage:.3e} > "
+                f"epsilon = {params.epsilon:.1e}",
+                diagnostics={
+                    "leakage": leakage,
+                    "peak_leakage": peak,
+                    "populations": np.abs(w_final) ** 2,
+                    "final_phases": report.final,
+                    "epsilon": params.epsilon,
+                })
 
-    norm = float(np.linalg.norm(w_final))
-    final_state = RegisterState(w_final / norm)
-    return CzResult(final=final_state, trajectory=traj, phase_report=report,
-                    leakage=leakage, peak_leakage=peak,
-                    max_amplitude_error=amp_err, schedule=schedule)
+        results.append(CzResult(
+            final=RegisterState(w_final / np.linalg.norm(w_final)),
+            trajectory=traj, phase_report=report, leakage=leakage,
+            peak_leakage=peak, max_amplitude_error=amp_err,
+            schedule=schedule))
+    return results[0] if single else tuple(results)

@@ -194,8 +194,9 @@ def check_gate(params: GateParams) -> list:
     out = []
     t0 = time.perf_counter()
 
-    basis_runs = [run_cz(RegisterState.basis(i), params) for i in range(4)]
-    sup_run = run_cz(RegisterState.logical_superposition(), params)
+    *basis_runs, sup_run = run_cz(
+        [RegisterState.basis(i) for i in range(4)]
+        + [RegisterState.logical_superposition()], params)
     elapsed = time.perf_counter() - t0
 
     targets = (math.pi, math.pi, math.pi, 0.0)
@@ -375,11 +376,9 @@ def check_scaling(cfg: SimConfig) -> list:
     out.append(_res(9, "field scaling leaves dispersion fixed", dd < 1e-10,
                     f"max rel change {dd:.2e}", "< 1e-10"))
 
-    params = GateParams()
-    a = run_cz(RegisterState.logical_superposition(), params)
-    shifted = RegisterState(np.exp(0.3j)
-                            * RegisterState.logical_superposition().amplitudes)
-    b = run_cz(shifted, params)
+    sup = RegisterState.logical_superposition()
+    a, b = run_cz([sup, RegisterState(np.exp(0.3j) * sup.amplitudes)],
+                  GateParams())
     dp = float(np.max(np.abs(np.abs(b.final.amplitudes) ** 2
                              - np.abs(a.final.amplitudes) ** 2)))
     fa, fb = a.phase_report.final_logical(), b.phase_report.final_logical()

@@ -120,6 +120,40 @@ def propagate_ref(h: np.ndarray, t: float, c0: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(-1j * np.asarray(h, dtype=complex) * t) @ c0
 
 
+def extract_phases_ref(amplitudes, theta, floor: float):
+    """(phases, valid, final) of the co-moving phase tracks, walked element
+    by element: each contiguous run where |amplitude| >= floor is
+    unwrapped on its own, a gap repeats the last valid phase (0 before
+    the first run), and final folds each column's last valid phase into
+    (-pi, pi] (0 for a column that is never valid)."""
+    w = amplitudes * np.exp(1j * theta)
+    valid = np.abs(amplitudes) >= floor
+    n = amplitudes.shape[0]
+    phases = np.zeros((n, 8))
+    final = np.zeros(8)
+    for i in range(8):
+        col = valid[:, i]
+        last = 0.0
+        j = 0
+        while j < n:
+            if not col[j]:
+                phases[j, i] = last
+                j += 1
+                continue
+            k = j
+            while k < n and col[k]:
+                k += 1
+            run = np.unwrap(np.angle(w[j:k, i]))
+            phases[j:k, i] = run
+            last = float(run[-1])
+            j = k
+        idx = np.nonzero(col)[0]
+        if idx.size:
+            out = math.remainder(float(phases[idx[-1], i]), 2.0 * math.pi)
+            final[i] = out + 2.0 * math.pi if out <= -math.pi else out
+    return phases, valid, final
+
+
 def _cos_m_angle(m: int, dx, dy):
     """cos(m * atan2(dy, dx)), with the angle taken from the nearer of the
     +x and -x axes so that m times it stays small and keeps its digits."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import pytest
 from scipy.special import jn_zeros
 
+from diskchain import GateFailure, RegisterState, load_config, run_cz
 from diskchain.cli import main
 
 SMALL_DISK = """
@@ -166,6 +167,33 @@ def test_gate_sim_trajectory_file(capsys, tmp_path):
     assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
 
 
+def test_gate_sim_csv_and_json_agree(capsys, tmp_path):
+    # the fixed-gap schedule has no lead, so |g1,+2> is fully transferred
+    # at the end of the first window and its phase cell there is empty;
+    # it leaks 1.5 % from |g1,g2>, hence the wider epsilon
+    ini = tmp_path / "fixed.ini"
+    ini.write_text("[gate]\nepsilon = 0.05\n[pulses]\nguard = fixed\n")
+    tables = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"traj.{fmt}"
+        code, _, _ = run(capsys, ["gate-sim", "--config", str(ini),
+                                  "--format", fmt, "--out", str(out)])
+        assert code == 0
+        tables[fmt] = out.read_text()
+    text = tables["csv"]
+    header, rows = csv_body(text)
+    doc = json.loads(tables["json"])
+    assert doc["columns"] == header
+    assert doc["metadata"] == dict(l[2:].split(": ", 1)
+                                   for l in text.splitlines()
+                                   if l.startswith("# "))
+    assert len(doc["rows"]) == len(rows)
+    for mine, theirs in zip(rows, doc["rows"]):
+        assert mine == ["" if v is None else v for v in theirs]
+    assert any(v is None for row in doc["rows"] for v in row)
+    assert not any(v is None for row in doc["rows"] for v in row[:6])
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run(capsys, ["frobnicate"])[0] == 1
     code, _, err = run(capsys, [])
@@ -222,7 +250,20 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
     p.write_text("[gate]\ndelta_max = 1e11 rad_s\n")
     code, _, err = run(capsys, ["gate-sim", "--config", str(p)])
     assert code == 2
-    assert "numerical failure" in err
+
+    # the one line names the first leaking state in basis order, then the
+    # superposition, as one run per state would
+    params = load_config(str(p)).gate
+    states = ([RegisterState.basis(i) for i in range(4)]
+              + [RegisterState.logical_superposition()])
+    with pytest.raises(GateFailure) as single:
+        for state in states:
+            run_cz(state, params)
+    assert err.splitlines() == [f"diskchain: numerical failure: {single.value}"]
+    with pytest.raises(GateFailure) as block:
+        run_cz(states, params)
+    assert str(block.value) == str(single.value)
+    assert block.value.diagnostics.keys() == single.value.diagnostics.keys()
 
 
 def test_reproduce_tables_reports_failures(capsys):

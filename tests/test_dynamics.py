@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from diskchain import dynamics
 from diskchain import (DetuningPulse, GateFailure, GateParams, NvParams,
                        PulseSchedule, RegisterState, aux_leakage,
                        build_hamiltonian, evolve, excitation_expectation,
@@ -15,6 +16,12 @@ from diskchain import (DetuningPulse, GateFailure, GateParams, NvParams,
 from diskchain.dynamics import DARK_INDEX
 
 PARAMS = GateParams()
+# the default, fixed-gap and off-default schedules the propagator is
+# checked on
+ORACLE_PARAMS = (PARAMS, GateParams(guard="fixed"),
+                 GateParams(g1=1.2e10, g2=0.8e10, delta_max=2e12))
+GATE_STATES = ([RegisterState.basis(i) for i in range(4)]
+               + [RegisterState.logical_superposition()])
 
 
 def fold_dev(phase, target):
@@ -191,8 +198,7 @@ def test_evolve_matches_expm_oracle():
     rng = np.random.default_rng(11)
     c0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     c0 /= np.linalg.norm(c0)
-    for params in (PARAMS, GateParams(guard="fixed"),
-                   GateParams(g1=1.2e10, g2=0.8e10, delta_max=2e12)):
+    for params in ORACLE_PARAMS:
         sched = make_cz_schedule(params)
         traj = evolve(RegisterState(c0), sched, params)
         want = segment_oracle(sched, params, c0)
@@ -208,6 +214,41 @@ def test_evolve_matches_expm_oracle():
             h = build_hamiltonian(0.5 * (a + b), nvs, params.omega_w, sched)
             c = oracles.propagate_ref(h, b - a, c)
             assert np.max(np.abs(traj.amplitudes[k] - c)) < 1e-10
+
+
+def test_block_evolve_matches_single_runs_and_oracle():
+    rng = np.random.default_rng(12)
+    block = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    for params in ORACLE_PARAMS:
+        sched = make_cz_schedule(params)
+        traj = evolve(block, sched, params)
+        n = len(traj.times)
+        assert traj.amplitudes.shape == (n, 5, 8)
+        for i, c0 in enumerate(block):
+            single = evolve(RegisterState(c0), sched, params)
+            assert single.amplitudes.shape == (n, 8)
+            assert np.array_equal(single.times, traj.times)
+            assert np.array_equal(single.theta, traj.theta)
+            assert np.max(np.abs(traj.amplitudes[:, i]
+                                 - single.amplitudes)) < 1e-13
+
+        # every record of every column, the oracle stepping the whole
+        # block from one record time to the next
+        nvs = (params.nv1, params.nv2)
+        c = block.T
+        for k in range(1, n):
+            a, b = traj.times[k - 1], traj.times[k]
+            h = build_hamiltonian(0.5 * (a + b), nvs, params.omega_w, sched)
+            c = oracles.propagate_ref(h, b - a, c)
+            assert np.max(np.abs(traj.amplitudes[k] - c.T)) < 1e-10
+
+
+def test_evolve_rejects_bad_state_shape():
+    sched = make_cz_schedule(PARAMS)
+    for shape in ((7,), (3, 9), (2, 3, 8)):
+        with pytest.raises(ValueError, match="8 amplitudes"):
+            evolve(np.zeros(shape), sched, PARAMS)
 
 
 def test_evolve_rejects_empty_span():
@@ -255,6 +296,109 @@ def test_run_cz_fails_loudly_when_parking_is_too_shallow():
         run_cz(RegisterState.basis(0), params)
     assert err.value.diagnostics["leakage"] > 0.01
     assert err.value.diagnostics["epsilon"] == pytest.approx(0.01)
+
+
+def test_five_state_run_cz_propagates_once(monkeypatch, cz_sup):
+    calls = {"evolve": 0, "_expm": 0}
+
+    def counting(name):
+        fn = getattr(dynamics, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counting(name))
+    results = run_cz(GATE_STATES, PARAMS)
+    sched = make_cz_schedule(PARAMS)
+    edges = {0.0, sched.duration} | {e for p in sched.pulses
+                                      for e in (p.t_on, p.t_off)}
+    assert calls == {"evolve": 1, "_expm": len(edges) - 1}
+
+    # one result per state, in order, each an (n, 8) view of the block
+    # sharing its theta; the superposition's matches its own run
+    assert isinstance(results, tuple) and len(results) == 5
+    n = len(cz_sup.trajectory.times)
+    for state, res in zip(GATE_STATES, results):
+        assert res.trajectory.amplitudes.shape == (n, 8)
+        assert np.array_equal(res.trajectory.amplitudes[0], state.amplitudes)
+        assert res.trajectory.theta is results[0].trajectory.theta
+    sup = results[-1]
+    assert np.max(np.abs(sup.trajectory.amplitudes
+                         - cz_sup.trajectory.amplitudes)) < 1e-13
+    assert np.max(np.abs(sup.phase_report.final
+                         - cz_sup.phase_report.final)) < 1e-12
+    assert sup.leakage == pytest.approx(cz_sup.leakage, abs=1e-13)
+
+
+def test_block_run_cz_raises_for_first_leaking_state():
+    # shallow parking: the dark state never leaks, |+1,g2> and |g1,g2>
+    # both do; the block reports the first of them in its own order
+    params = GateParams(delta_max=1e11)
+    run_cz(RegisterState.basis(3), params)
+    with pytest.raises(GateFailure) as single:
+        run_cz(RegisterState.basis(2), params)
+    with pytest.raises(GateFailure) as block:
+        run_cz([RegisterState.basis(i) for i in (3, 2, 0)], params)
+    assert str(block.value) == str(single.value)
+    assert block.value.diagnostics.keys() == single.value.diagnostics.keys()
+    assert block.value.diagnostics["leakage"] == pytest.approx(
+        single.value.diagnostics["leakage"], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# phase extraction against the element-by-element walk
+
+
+def assert_phases_match_ref(traj, floor=1e-6):
+    got = extract_phases(traj, floor=floor)
+    phases, valid, final = oracles.extract_phases_ref(
+        traj.amplitudes, traj.theta, floor)
+    for mine, ref in ((got.phases, phases), (got.valid, valid),
+                      (got.final, final)):
+        assert mine.dtype == ref.dtype and mine.shape == ref.shape
+        assert mine.tobytes() == ref.tobytes()
+
+
+@pytest.fixture(scope="module")
+def gate_runs():
+    return run_cz(GATE_STATES, PARAMS)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_phases_match_ref_on_gate_runs(gate_runs, index):
+    assert_phases_match_ref(gate_runs[index].trajectory)
+
+
+def test_phases_match_ref_above_raised_floor(gate_runs):
+    for run in gate_runs:
+        assert_phases_match_ref(run.trajectory, floor=0.05)
+
+
+def test_phases_match_ref_across_gaps():
+    # per column: gap at the start, in the middle, at the end, never
+    # valid, always valid, alternating single records, valid at the last
+    # record only, several gaps; phases wind fast enough to need unwrapping
+    n = 40
+    rng = np.random.default_rng(5)
+    valid = np.ones((n, 8), dtype=bool)
+    valid[:6, 0] = False
+    valid[15:22, 1] = False
+    valid[33:, 2] = False
+    valid[:, 3] = False
+    valid[::2, 5] = False
+    valid[:-1, 6] = False
+    valid[[3, 4, 10, 20, 21, 22, 39], 7] = False
+    winding = np.cumsum(rng.uniform(1.0, 3.0, size=(n, 8)), axis=0)
+    amps = np.where(valid, 1.0, 1e-9) * np.exp(1j * winding)
+    theta = rng.uniform(-5.0, 5.0, size=(n, 8))
+    traj = dynamics.Trajectory(times=np.arange(n, dtype=float),
+                               amplitudes=amps, theta=theta,
+                               schedule=PulseSchedule((), float(n)))
+    assert_phases_match_ref(traj)
+    assert not extract_phases(traj).valid[:, 3].any()
 
 
 # ---------------------------------------------------------------------------
