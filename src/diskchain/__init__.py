@@ -9,14 +9,13 @@ from .core import (CONSTANTS, PhysicalConstants, energy_to_freq,
 from .specfun import bessel_j, bessel_y, hankel1
 from .wgm import (BelowCutoffError, DiskGeometry, FieldProfile,
                   NoSolutionError, WgmMode, axial_norm_integral,
-                  field_profile, radial_residual, slab_effective_index,
-                  solve_disk, solve_mode, thickness_for_index)
-from .chain import (ChainGeometry, CouplingResult, OverlapIntegrals,
-                    QuadratureError, SweepRow, ValidityWarning, chain_field,
-                    coupling_kappa, coupling_sweep, dispersion, fit_loglinear,
-                    overlap_integrals)
+                  field_profile, radial_residual, solve_disk, solve_mode,
+                  thickness_for_index)
+from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
+                    ValidityWarning, coupling_kappa, coupling_sweep,
+                    dispersion, fit_loglinear, overlap_integrals)
 from .dynamics import (CzResult, DetuningPulse, GateFailure, GateParams,
-                       NvParams, PhaseReport, PulseSchedule, RegisterState,
+                       PhaseReport, PulseSchedule, RegisterState,
                        Trajectory, aux_leakage, build_hamiltonian, evolve,
                        excitation_expectation, extract_phases,
                        logical_populations, make_cz_schedule,

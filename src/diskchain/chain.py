@@ -24,17 +24,17 @@ standing-wave basis cos(m phi) for both disks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 import math
 import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import CONSTANTS, HBAR_EV_S, wavelength_to_freq
+from .core import HBAR_EV_S
 from .specfun import bessel_j, hankel1
-from .wgm import (DiskGeometry, FieldProfile, WgmMode, axial_norm_integral,
-                  field_profile, solve_mode)
+from .wgm import FieldProfile, WgmMode, axial_norm_integral
 
 
 class QuadratureError(RuntimeError):
@@ -43,23 +43,6 @@ class QuadratureError(RuntimeError):
 
 class ValidityWarning(UserWarning):
     """Tight-binding validity condition (all ratios << 1) is strained."""
-
-
-@dataclass(frozen=True)
-class ChainGeometry:
-    disk: DiskGeometry
-    spacing: float          # centre-to-centre distance L, um
-    bloch: float = 0.0      # the product K*L, radians, first Brillouin zone
-
-    def __post_init__(self):
-        if not math.isfinite(self.spacing):
-            raise ValueError(f"spacing: must be finite, got {self.spacing}")
-        if self.spacing < 2.0 * self.disk.radius:
-            raise ValueError(
-                f"spacing: disks overlap, need L >= 2R = {2 * self.disk.radius} um, "
-                f"got {self.spacing}")
-        if not (-math.pi - 1e-12 <= self.bloch <= math.pi + 1e-12):
-            raise ValueError(f"bloch: KL must lie in [-pi, pi], got {self.bloch}")
 
 
 @dataclass(frozen=True)
@@ -243,89 +226,24 @@ def dispersion(omega: float, integrals: OverlapIntegrals, KL):
 
 
 # ---------------------------------------------------------------------------
-# delocalised chain field
-
-
-def chain_field(mode: WgmMode, L: float, KL: float, point,
-                P: Optional[int] = None):
-    """Bloch sum  sum_p exp(i p KL) E_mode(r - p L e_x)  at the given point.
-
-    point is (x, y, z) with scalar or broadcastable array components.
-    With P given, exactly disks -P..P are summed (P = 0 reduces to the
-    single-disk field).  With P = None the sum is extended until the
-    outermost shell contributes less than 1e-3 of the accumulated peak,
-    which is the truncation the periodicity claims are quoted at.
-    """
-    x, y, z = point
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-
-    def term(p: int):
-        dx = x - p * L
-        rho = np.hypot(dx, y)
-        phi = np.arctan2(y, dx)
-        return np.exp(1j * KL * p) * field_profile(mode, rho, z, phi)
-
-    acc = np.asarray(term(0), dtype=complex)
-    if P is not None:
-        for p in range(1, int(P) + 1):
-            acc = acc + term(p) + term(-p)
-        return acc if acc.ndim else complex(acc)
-
-    scale = float(np.max(np.abs(acc)))
-    quiet = 0
-    for p in range(1, 65):
-        shell = np.asarray(term(p) + term(-p), dtype=complex)
-        acc = acc + shell
-        scale = max(scale, float(np.max(np.abs(acc))))
-        if float(np.max(np.abs(shell))) < 1e-3 * max(scale, 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    return acc if acc.ndim else complex(acc)
-
-
-# ---------------------------------------------------------------------------
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    m: int
-    radius: float
-    spacing: float
-    l_over_r: float
-    kappa: float
-    kappa_ev: float
-    log10_kappa_over_e0: float
-    integrals: OverlapIntegrals = field(repr=False, default=None)
+def coupling_sweep(mode: WgmMode, spacings: Sequence[float], omega: float,
+                   threads: int = 1) -> list:
+    """kappa at each spacing L (um) for one solved disk mode, one
+    CouplingResult per spacing in input order.
 
-
-def coupling_sweep(disk: DiskGeometry, L_values: Sequence[float],
-                   lam0: float = CONSTANTS.zpl_wavelength) -> list:
-    """kappa over a list of spacings for one disk design.
-
-    The mode is solved once from (R, m, lam0); each spacing gets its own
-    converged overlap quadrature.
+    Each spacing gets its own converged overlap quadrature; threads > 1
+    maps the spacings over a thread pool.
     """
-    mode = solve_mode(disk.radius, disk.azimuthal_number, lam0,
-                      disk.refractive_index)
-    omega = wavelength_to_freq(lam0)
-    rows = []
-    for L in L_values:
-        ints = overlap_integrals(mode, L)
-        res = coupling_kappa(ints, omega)
-        ratio = abs(res.kappa_ev) / CONSTANTS.zpl_energy
-        rows.append(SweepRow(
-            m=disk.azimuthal_number, radius=disk.radius, spacing=L,
-            l_over_r=L / disk.radius, kappa=res.kappa,
-            kappa_ev=res.kappa_ev,
-            log10_kappa_over_e0=math.log10(ratio) if ratio > 0.0 else -math.inf,
-            integrals=ints))
-    return rows
+    def one(L):
+        return coupling_kappa(overlap_integrals(mode, L), omega)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, spacings))
+    return [one(L) for L in spacings]
 
 
 def fit_loglinear(spacings: Sequence[float], kappas: Sequence[float]) -> tuple:

@@ -13,7 +13,6 @@ failure, 3 reference-table check failure.
 from __future__ import annotations
 
 import argparse
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import json
 import math
@@ -22,12 +21,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import (QuadratureError, coupling_kappa, dispersion,
-                    fit_loglinear, overlap_integrals)
+from .chain import (QuadratureError, coupling_kappa, coupling_sweep,
+                    dispersion, fit_loglinear, overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
 from .core import CONSTANTS, wavelength_to_freq
-from .dynamics import (GateFailure, RegisterState, extract_phases,
-                       logical_populations, run_cz)
+from .dynamics import (GateFailure, RegisterState, aux_leakage,
+                       extract_phases, logical_populations, run_cz)
 from .verify import run_all
 from .wgm import (BelowCutoffError, NoSolutionError, radial_residual,
                   solve_disk, solve_mode)
@@ -87,13 +86,6 @@ def _emit(table: ResultTable, args) -> None:
         _write_table(table, sys.stdout, args.format)
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _base_metadata(command: str, cfg: SimConfig, args) -> dict:
     return {
         "generator": f"diskchain {__version__}",
@@ -124,7 +116,7 @@ def cmd_disk_solve(cfg: SimConfig, args) -> int:
         resid = abs(radial_residual(m, k0, n_eff, radius))
         return [m, radius, n_eff, h, resid, "ok"]
 
-    rows = _map_ordered(one, cfg.solve_rows, args.threads)
+    rows = [one(row) for row in cfg.solve_rows]
     meta = _base_metadata("disk-solve", cfg, args)
     meta["rows"] = len(rows)
     table = ResultTable(
@@ -134,26 +126,16 @@ def cmd_disk_solve(cfg: SimConfig, args) -> int:
     return 0
 
 
-def _sweep_rows(cfg: SimConfig, threads: int):
+def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
     mode = solve_mode(cfg.disk.radius, cfg.disk.azimuthal_number,
                       cfg.wavelength, cfg.disk.refractive_index)
+    spacings = cfg.spacings()
     omega = wavelength_to_freq(cfg.wavelength)
-
-    def one(lr):
-        ints = overlap_integrals(mode, lr * cfg.disk.radius)
-        return coupling_kappa(ints, omega), ints
-
-    results = _map_ordered(one, cfg.l_over_r, threads)
-    return mode, omega, results
-
-
-def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
-    mode, omega, results = _sweep_rows(cfg, args.threads)
-    radius = cfg.disk.radius
+    results = coupling_sweep(mode, spacings, omega, args.threads)
     rows = []
-    for lr, (res, ints) in zip(cfg.l_over_r, results):
+    for lr, L, res in zip(cfg.l_over_r, spacings, results):
         ratio = abs(res.kappa_ev) / CONSTANTS.zpl_energy
-        rows.append([lr, lr * radius, res.kappa, res.kappa_ev,
+        rows.append([lr, L, res.kappa, res.kappa_ev,
                      math.log10(ratio) if ratio > 0.0 else None])
 
     slope, intercept, r2 = fit_loglinear(
@@ -161,13 +143,14 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
     meta = _base_metadata("coupling-sweep", cfg, args)
     meta.update({
         "m": cfg.disk.azimuthal_number,
-        "R_um": _fmt(radius),
+        "R_um": _fmt(cfg.disk.radius),
         "n_eff": _fmt(mode.n_eff),
         "h_um": _fmt(mode.geometry.thickness),
         "fit_slope_per_um": _fmt(slope),
         "fit_intercept": _fmt(intercept),
         "fit_r2": _fmt(r2),
-        "quadrature": f"{results[-1][1].n_radial} x {results[-1][1].n_azimuthal}",
+        "quadrature": f"{results[-1].integrals.n_radial} x "
+                      f"{results[-1].integrals.n_azimuthal}",
     })
     table = ResultTable(
         columns=["l_over_r", "L_um", "kappa_rad_s", "kappa_ev",
@@ -181,7 +164,7 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
     mode = solve_mode(cfg.disk.radius, cfg.disk.azimuthal_number,
                       cfg.wavelength, cfg.disk.refractive_index)
     omega = wavelength_to_freq(cfg.wavelength)
-    spacing = cfg.chain.spacing
+    spacing = cfg.spacings()[0]
     ints = overlap_integrals(mode, spacing)
     res = coupling_kappa(ints, omega)
 
@@ -214,7 +197,7 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
     traj = sup.trajectory
     report = extract_phases(traj)
     pops = logical_populations(traj.amplitudes)
-    aux = 1.0 - pops.sum(axis=1)
+    aux = aux_leakage(traj.amplitudes)
     scale = params.omega_a0
 
     rows = np.column_stack(
@@ -318,7 +301,7 @@ def _build_parser() -> _Parser:
                         help="override the relative tolerance of the "
                              "reference-table comparisons")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for row-parallel commands")
+                        help="worker threads for coupling-sweep spacings")
     return parser
 
 

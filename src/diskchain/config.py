@@ -1,7 +1,7 @@
 """INI-style run configuration.
 
 Grammar: sections [disk], [chain], [gate], [pulses]; values are numbers
-with an optional unit suffix (um, rad_s, eV, s, rad), comma-separated
+with an optional unit suffix (um, rad_s, s), comma-separated
 lists, or semicolon-separated "m R" pairs for solve_rows.  A key left
 out falls back to the embedded default configuration; unknown sections
 or keys are errors, as is a file with no sections at all.
@@ -13,7 +13,6 @@ import configparser
 from dataclasses import dataclass
 import math
 
-from .chain import ChainGeometry
 from .dynamics import GateParams
 from .refdata import DEFAULT_CONFIG_TEXT
 from .wgm import DiskGeometry
@@ -34,7 +33,6 @@ _SCHEMA = {
     },
     "chain": {
         "l_over_r": "list",
-        "bloch": "rad",
     },
     "gate": {
         "g1": "rad_s",
@@ -55,7 +53,6 @@ _SCHEMA = {
 @dataclass(frozen=True)
 class SimConfig:
     disk: DiskGeometry
-    chain: ChainGeometry
     gate: GateParams
     wavelength: float
     l_over_r: tuple
@@ -185,7 +182,6 @@ def _build(v: dict) -> SimConfig:
             l_over_r.append(ratio)
     if not l_over_r:
         raise ConfigError("[chain] l_over_r: at least one spacing required")
-    bloch = num("chain", chain_s, "bloch")
 
     guard = pulse_s.get("guard", "calibrated").strip()
     samples = num("pulses", pulse_s, "samples")
@@ -197,8 +193,6 @@ def _build(v: dict) -> SimConfig:
     try:
         disk = DiskGeometry(radius=radius, azimuthal_number=int(m),
                             refractive_index=n_c)
-        chain = ChainGeometry(disk=disk, spacing=l_over_r[0] * radius,
-                              bloch=bloch)
         gate_kwargs = dict(
             g1=num("gate", gate_s, "g1"),
             g2=num("gate", gate_s, "g2"),
@@ -217,7 +211,7 @@ def _build(v: dict) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return SimConfig(disk=disk, chain=chain, gate=gate, wavelength=wavelength,
+    return SimConfig(disk=disk, gate=gate, wavelength=wavelength,
                      l_over_r=tuple(l_over_r), solve_rows=tuple(rows))
 
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -80,37 +80,6 @@ class GateFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NvParams:
-    """One emitter: transition frequency, photon coupling, qubit splitting,
-    and the parked detuning it returns to between pulses.  All rad/s."""
-
-    omega_a0: float
-    g: float
-    D_g: float = CONSTANTS.zero_field_splitting_rad_s
-    delta_max: float = 1e12
-
-    def __post_init__(self):
-        if not 0.0 < self.omega_a0 < math.inf:
-            raise ValueError(
-                f"omega_a0: must be > 0 and finite, got {self.omega_a0}")
-        if not 0.0 < self.g < math.inf:
-            raise ValueError(f"g: must be > 0 and finite, got {self.g}")
-        if not math.isfinite(self.D_g):
-            raise ValueError(f"D_g: must be finite, got {self.D_g}")
-        if not math.isfinite(self.delta_max):
-            raise ValueError(f"delta_max: must be finite, got {self.delta_max}")
-        omega_w = self.omega_a0 + self.delta_max
-        if abs(self.g) / omega_w >= 1e-3:
-            raise ValueError(
-                f"g: rotating-wave regime needs |g|/omega_w < 1e-3, got "
-                f"{abs(self.g) / omega_w:.2e}")
-        if self.delta_max / abs(self.g) < 10.0:
-            raise ValueError(
-                f"delta_max: dispersive parking needs delta_max/|g| >= 10, "
-                f"got {self.delta_max / abs(self.g):.2f}")
-
-
-@dataclass(frozen=True)
 class GateParams:
     """Everything run_cz needs.  Defaults are the working point used
     throughout the bundled tables."""
@@ -133,9 +102,25 @@ class GateParams:
                 f"epsilon: must be > 0 and finite, got {self.epsilon}")
         if not 2 <= self.samples < math.inf:
             raise ValueError(f"samples: need a finite count >= 2, got {self.samples}")
-        # delegate the physical-regime checks
-        self.nv1
-        self.nv2
+        if not 0.0 < self.omega_a0 < math.inf:
+            raise ValueError(
+                f"omega_a0: must be > 0 and finite, got {self.omega_a0}")
+        if not math.isfinite(self.D_g):
+            raise ValueError(f"D_g: must be finite, got {self.D_g}")
+        if not math.isfinite(self.delta_max):
+            raise ValueError(f"delta_max: must be finite, got {self.delta_max}")
+        for name in ("g1", "g2"):
+            g = getattr(self, name)
+            if not 0.0 < g < math.inf:
+                raise ValueError(f"{name}: must be > 0 and finite, got {g}")
+            if g / self.omega_w >= 1e-3:
+                raise ValueError(
+                    f"{name}: rotating-wave regime needs {name}/omega_w < "
+                    f"1e-3, got {g / self.omega_w:.2e}")
+            if self.delta_max / g < 10.0:
+                raise ValueError(
+                    f"delta_max: dispersive parking needs delta_max/{name} "
+                    f">= 10, got {self.delta_max / g:.2f}")
 
     @property
     def T1(self) -> float:
@@ -150,14 +135,6 @@ class GateParams:
     @property
     def omega_w(self) -> float:
         return self.omega_a0 + self.delta_max
-
-    @property
-    def nv1(self) -> NvParams:
-        return NvParams(self.omega_a0, self.g1, self.D_g, self.delta_max)
-
-    @property
-    def nv2(self) -> NvParams:
-        return NvParams(self.omega_a0, self.g2, self.D_g, self.delta_max)
 
 
 @dataclass(frozen=True)
@@ -189,6 +166,9 @@ class PulseSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration: must be > 0 and finite, got {self.duration}")
         ordered = sorted(self.pulses, key=lambda p: p.t_on)
         for a, b in zip(ordered[:-1], ordered[1:]):
             if b.t_on < a.t_off - 1e-18:
@@ -306,9 +286,12 @@ def logical_populations(amplitudes) -> np.ndarray:
     return np.abs(c[..., :4]) ** 2
 
 
-def aux_leakage(amplitudes) -> float:
+def aux_leakage(amplitudes):
+    """Population outside the qubit space, |c_4|^2 + ... + |c_7|^2 over
+    the last axis: a number for one state, an (n,) array for (n, 8).
+    Summed directly, it keeps its digits where 1 - sum(logical) cancels."""
     c = np.asarray(amplitudes)
-    return float(np.sum(np.abs(c[..., 4:]) ** 2, axis=-1))
+    return np.sum(np.abs(c[..., 4:]) ** 2, axis=-1)
 
 
 def excitation_expectation(amplitudes) -> float:
@@ -324,26 +307,7 @@ def excitation_expectation(amplitudes) -> float:
 # Hamiltonian and ideal two-level propagators
 
 
-def _hamiltonian(nv1: NvParams, nv2: NvParams, delta1: float,
-                 delta2: float) -> np.ndarray:
-    d1, d2 = nv1.D_g, nv2.D_g
-    h = np.zeros((8, 8), dtype=complex)
-    # energy zero at the dark state: a diagonal shift is one more global
-    # phase (the co-moving report cancels it exactly), and it makes the
-    # dark row and column vanish identically, so every segment propagator
-    # holds that amplitude bit for bit instead of letting per-record
-    # modulus rounding pile up
-    diag = (-d1 - d2, -d1, -d2, 0.0,
-            -delta1 - d1 - d2, -delta2 - d1 - d2,
-            -delta1 - d1, -delta2 - d2)
-    h[np.diag_indices(8)] = diag
-    gs = {1: nv1.g, 2: nv2.g}
-    for i, j, q in _COUPLING_PAIRS:
-        h[i, j] = h[j, i] = gs[q]
-    return h
-
-
-def build_hamiltonian(t: float, params: Sequence[NvParams], omega_w: float,
+def build_hamiltonian(t: float, params: GateParams,
                       schedule: PulseSchedule) -> np.ndarray:
     """8x8 Hamiltonian at time t in the omega_w rotating frame (rad/s).
 
@@ -352,13 +316,27 @@ def build_hamiltonian(t: float, params: Sequence[NvParams], omega_w: float,
     off-diagonal entries the photon couplings g_k.  The diagonal is
     referenced to the dark state's energy, so its row and column are
     exactly zero; every relative phase and population is unaffected by
-    that choice of zero.
+    that choice of zero.  Both NVs share omega_a0 and D_g.
     """
-    nv1, nv2 = params
     on1, on2 = schedule.active(t)
-    delta1 = 0.0 if on1 else omega_w - nv1.omega_a0
-    delta2 = 0.0 if on2 else omega_w - nv2.omega_a0
-    return _hamiltonian(nv1, nv2, delta1, delta2)
+    parked = params.omega_w - params.omega_a0
+    delta1 = 0.0 if on1 else parked
+    delta2 = 0.0 if on2 else parked
+    d = params.D_g
+    h = np.zeros((8, 8), dtype=complex)
+    # energy zero at the dark state: a diagonal shift is one more global
+    # phase (the co-moving report cancels it exactly), and it makes the
+    # dark row and column vanish identically, so every segment propagator
+    # holds that amplitude bit for bit instead of letting per-record
+    # modulus rounding pile up
+    diag = (-d - d, -d, -d, 0.0,
+            -delta1 - d - d, -delta2 - d - d,
+            -delta1 - d, -delta2 - d)
+    h[np.diag_indices(8)] = diag
+    gs = {1: params.g1, 2: params.g2}
+    for i, j, q in _COUPLING_PAIRS:
+        h[i, j] = h[j, i] = gs[q]
+    return h
 
 
 def propagator_resonant(theta: float) -> np.ndarray:
@@ -413,8 +391,7 @@ class Trajectory:
         return self.amplitudes[-1]
 
 
-def evolve(state, schedule: PulseSchedule, params: GateParams,
-           t_span: Optional[tuple] = None, *,
+def evolve(state, schedule: PulseSchedule, params: GateParams, *,
            records: Optional[int] = None) -> Trajectory:
     """Propagate the register exactly through a pulse schedule.
 
@@ -434,15 +411,11 @@ def evolve(state, schedule: PulseSchedule, params: GateParams,
     if c0.ndim not in (1, 2) or c0.shape[-1] != 8:
         raise ValueError(
             f"need 8 amplitudes or a (k, 8) block, got shape {c0.shape}")
-    t0, t1 = t_span if t_span is not None else (0.0, schedule.duration)
-    if not t1 > t0:
-        raise ValueError(f"t_span: need t1 > t0, got ({t0}, {t1})")
     n_rec = records if records is not None else params.samples
-    total = t1 - t0
+    total = schedule.duration
 
-    nvs = (params.nv1, params.nv2)
-    cuts = {t0, t1} | {e for p in schedule.pulses for e in (p.t_on, p.t_off)
-                       if t0 < e < t1}
+    cuts = {0.0, total} | {e for p in schedule.pulses
+                           for e in (p.t_on, p.t_off) if 0.0 < e < total}
     edges = sorted(cuts)
 
     # a stack of (8, 1) columns: matmul takes one matrix-vector product per
@@ -450,9 +423,9 @@ def evolve(state, schedule: PulseSchedule, params: GateParams,
     # state's records
     c = c0.reshape(-1, 8, 1)
     theta = np.zeros(8)
-    ts, amps, thetas = [np.array([t0])], [c[None]], [theta[None, :]]
+    ts, amps, thetas = [np.array([0.0])], [c[None]], [theta[None, :]]
     for a, b in zip(edges[:-1], edges[1:]):
-        h = build_hamiltonian(0.5 * (a + b), nvs, params.omega_w, schedule)
+        h = build_hamiltonian(0.5 * (a + b), params, schedule)
         diag = np.real(np.diag(h))
         dur = b - a
         n = max(1, round(n_rec * dur / total))
@@ -574,7 +547,7 @@ def run_cz(initial, params: GateParams = GateParams()):
     for i, state in enumerate(states):
         traj = Trajectory(times=block.times, amplitudes=block.amplitudes[:, i],
                           theta=block.theta, schedule=schedule, params=params)
-        leak_t = 1.0 - np.sum(logical_populations(traj.amplitudes), axis=1)
+        leak_t = aux_leakage(traj.amplitudes)
         leakage = float(leak_t[-1])
         peak = float(np.max(leak_t))
 

@@ -73,7 +73,6 @@ solve_rows = 40 2.0; 40 2.5; 40 3.0; 40 3.3; 40 3.5; 40 3.7; 40 4.0; 50 2.5; 50 
 
 [chain]
 l_over_r = 2.01, 2.11, 2.21, 2.31, 2.41, 2.49
-bloch = 0.0 rad
 
 [gate]
 g1 = 1.0e10 rad_s

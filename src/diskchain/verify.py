@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import refdata
-from .chain import FieldProfile, coupling_kappa, dispersion, fit_loglinear, \
-    overlap_integrals
+from .chain import (FieldProfile, coupling_kappa, coupling_sweep, dispersion,
+                    fit_loglinear, overlap_integrals)
 from .config import SimConfig, default_config
 from .core import wavelength_to_freq
 from .dynamics import (DetuningPulse, GateParams, PulseSchedule,
@@ -89,11 +89,9 @@ def hopping_data(cfg: SimConfig) -> tuple:
         for radius in table:
             mode = solve_mode(radius, m, cfg.wavelength,
                               cfg.disk.refractive_index)
-            kappas = []
-            for lr in refdata.L_OVER_R:
-                ints = overlap_integrals(mode, lr * radius)
-                kappas.append(abs(coupling_kappa(ints, omega).kappa_ev))
-            data[(m, radius)] = kappas
+            sweep = coupling_sweep(
+                mode, [lr * radius for lr in refdata.L_OVER_R], omega)
+            data[(m, radius)] = [abs(res.kappa_ev) for res in sweep]
     return data, time.perf_counter() - t0
 
 
@@ -232,7 +230,6 @@ def check_gate(params: GateParams) -> list:
     rng = np.random.default_rng(7)
     c0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     c0 /= np.linalg.norm(c0)
-    nv = (params.nv1, params.nv2)
     worst = 0.0
     for on1, on2, dur in ((False, False, 2.0 * params.T1),
                           (True, False, params.T1),
@@ -244,7 +241,7 @@ def check_gate(params: GateParams) -> list:
             pulses.append(DetuningPulse(2, 0.0, dur))
         sched = PulseSchedule(tuple(pulses), dur)
         traj = evolve(RegisterState(c0), sched, params, records=2)
-        h = build_hamiltonian(0.0, nv, params.omega_w, sched)
+        h = build_hamiltonian(0.0, params, sched)
         err = float(np.linalg.norm(traj.final - _expm(h, dur) @ c0))
         worst = max(worst, err)
     out.append(_res(6, "evolve vs eigh propagator", worst < 1e-6,

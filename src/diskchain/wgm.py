@@ -96,54 +96,6 @@ class WgmMode:
 # axial (slab) equation
 
 
-def _slab_misfit(n: float, k: float, h: float, nc: float) -> float:
-    b = k * math.sqrt(nc * nc - n * n)
-    return math.sqrt(nc * nc - n * n) * math.tan(0.5 * b * h) \
-        - nc * nc * math.sqrt(n * n - 1.0)
-
-
-def slab_effective_index(k: float, h: float, n_c: float) -> float:
-    """Fundamental-branch effective index of the symmetric TM slab.
-
-    Bisection on n_eff in (n_lo, n_c) where n_lo keeps beta*h/2 below
-    pi/2, so the search never leaves the fundamental branch.  The misfit
-    is positive at the lower end and negative at n_c, which brackets the
-    root.
-    """
-    if k <= 0.0 or h <= 0.0:
-        raise ValueError("slab_effective_index: k and h must be > 0")
-    if n_c <= 1.0:
-        raise ValueError("slab_effective_index: n_c > 1 required")
-    lim = n_c * n_c - (math.pi / (k * h)) ** 2
-    n_lo = math.sqrt(lim) if lim > 1.0 else 1.0
-    eps = 1e-13 * n_c
-    lo, hi = n_lo + eps, n_c - eps
-    if not (lo < hi):
-        raise BelowCutoffError("slab_effective_index: empty fundamental bracket")
-    flo = _slab_misfit(lo, k, h, n_c)
-    # the lower bracket end can land a rounding error past the tan pole
-    # when the branch limit is active; inch upward until the sign settles
-    step = eps
-    while flo <= 0.0 and lim > 1.0 and step < 1e-6 * (hi - lo):
-        lo += step
-        step *= 4.0
-        flo = _slab_misfit(lo, k, h, n_c)
-    fhi = _slab_misfit(hi, k, h, n_c)
-    if not (flo > 0.0 > fhi):
-        raise BelowCutoffError(
-            "slab_effective_index: no fundamental-branch root (below cutoff)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f = _slab_misfit(mid, k, h, n_c)
-        if f > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def thickness_for_index(k: float, n_eff: float, n_c: float) -> float:
     """Closed-form fundamental-branch inverse of the slab equation."""
     if not (1.0 < n_eff < n_c):

@@ -1,5 +1,5 @@
-"""Inter-disk coupling: overlap integrals, the hopping rate, the band,
-and the delocalised chain field."""
+"""Inter-disk coupling: overlap integrals, the hopping rate, the sweep
+over spacings and the band."""
 
 import math
 
@@ -7,26 +7,16 @@ import numpy as np
 import pytest
 
 import oracles
-from diskchain import (CONSTANTS, ChainGeometry, DiskGeometry, FieldProfile,
-                       GateParams, NvParams, OverlapIntegrals,
-                       QuadratureError, ValidityWarning, chain_field,
+from diskchain import (CONSTANTS, DiskGeometry, FieldProfile, GateParams,
+                       OverlapIntegrals, QuadratureError, ValidityWarning,
                        coupling_kappa, coupling_sweep, dispersion,
-                       field_profile, fit_loglinear, make_cz_schedule,
-                       overlap_integrals, solve_mode)
+                       fit_loglinear, make_cz_schedule, overlap_integrals,
+                       solve_mode)
 import diskchain.chain as chain_module
 from diskchain.chain import _transverse
 from diskchain.core import HBAR_EV_S
 
 OMEGA = 2.0 * math.pi * CONSTANTS.speed_of_light / CONSTANTS.zpl_wavelength
-
-
-def test_chain_geometry_validation():
-    disk = DiskGeometry(radius=2.0, azimuthal_number=40)
-    ChainGeometry(disk=disk, spacing=4.0, bloch=math.pi)
-    with pytest.raises(ValueError, match="overlap"):
-        ChainGeometry(disk=disk, spacing=3.9)
-    with pytest.raises(ValueError, match="KL"):
-        ChainGeometry(disk=disk, spacing=4.5, bloch=4.0)
 
 
 def test_overlaps_symmetric_in_spacing_sign(mode_m40_r2):
@@ -67,7 +57,6 @@ def test_spacing_guard(mode_m40_r2):
 
 
 NAN, INF = float("nan"), float("inf")
-DISK = DiskGeometry(radius=2.0, azimuthal_number=40)
 
 
 @pytest.mark.parametrize("call, field", [
@@ -78,17 +67,15 @@ DISK = DiskGeometry(radius=2.0, azimuthal_number=40)
     (lambda mode: DiskGeometry(2.0, 40, refractive_index=NAN),
      "refractive_index"),
     (lambda mode: DiskGeometry(2.0, 40, thickness=NAN), "thickness"),
-    (lambda mode: ChainGeometry(disk=DISK, spacing=NAN), "spacing"),
-    (lambda mode: ChainGeometry(disk=DISK, spacing=INF), "spacing"),
     (lambda mode: overlap_integrals(mode, NAN), "2R"),
     (lambda mode: overlap_integrals(mode, INF), "2R"),
     (lambda mode: overlap_integrals(mode, -INF), "2R"),
-    (lambda mode: NvParams(NAN, 1e10), "omega_a0"),
-    (lambda mode: NvParams(INF, 1e10), "omega_a0"),
-    (lambda mode: NvParams(2.95e15, NAN), "g:"),
-    (lambda mode: NvParams(2.95e15, 1e10, D_g=NAN), "D_g"),
-    (lambda mode: NvParams(2.95e15, 1e10, delta_max=INF), "delta_max"),
-    (lambda mode: GateParams(g1=NAN), "g:"),
+    (lambda mode: GateParams(omega_a0=NAN), "omega_a0"),
+    (lambda mode: GateParams(omega_a0=INF), "omega_a0"),
+    (lambda mode: GateParams(g2=NAN), "g2:"),
+    (lambda mode: GateParams(D_g=NAN), "D_g"),
+    (lambda mode: GateParams(delta_max=INF), "delta_max"),
+    (lambda mode: GateParams(g1=NAN), "g1:"),
     (lambda mode: GateParams(delta_max=NAN), "delta_max"),
     (lambda mode: GateParams(epsilon=NAN), "epsilon"),
     (lambda mode: GateParams(epsilon=INF), "epsilon"),
@@ -211,46 +198,17 @@ def test_kappa_negligible_far_out(mode_m40_r2):
     assert far < 1e-2 * near
 
 
-def test_chain_field_single_disk_limit(mode_m40_r2):
-    pt = (1.2, 0.4, 0.05)
-    rho = math.hypot(pt[0], pt[1])
-    phi = math.atan2(pt[1], pt[0])
-    direct = field_profile(mode_m40_r2, rho, pt[2], phi)
-    assert chain_field(mode_m40_r2, 4.42, 0.9, pt, P=0) == pytest.approx(
-        direct, rel=1e-12)
-
-
-@pytest.mark.parametrize("kl", [0.0, math.pi / 2.0])
-def test_chain_field_bloch_periodicity(mode_m40_r2, kl):
-    L = 4.42
-    x = np.linspace(-0.5 * L, 0.5 * L, 31)
-    y = np.full_like(x, 0.3)
-    z = np.zeros_like(x)
-    e0 = chain_field(mode_m40_r2, L, kl, (x, y, z))
-    e1 = chain_field(mode_m40_r2, L, kl, (x + L, y, z))
-    scale = np.max(np.abs(e0))
-    assert np.max(np.abs(e1 - np.exp(1j * kl) * e0)) < 1e-2 * scale
-
-
-def test_chain_field_explicit_truncation_converges(mode_m40_r2):
-    pt = (2.21, 0.0, 0.0)   # midway between disk 0 and disk 1
-    coarse = chain_field(mode_m40_r2, 4.42, 0.3, pt, P=1)
-    fine = chain_field(mode_m40_r2, 4.42, 0.3, pt, P=6)
-    auto = chain_field(mode_m40_r2, 4.42, 0.3, pt)
-    assert abs(fine - auto) <= abs(fine - coarse) + 1e-12 * abs(fine)
-
-
-def test_coupling_sweep_rows():
-    disk = DiskGeometry(radius=2.0, azimuthal_number=40)
-    rows = coupling_sweep(disk, [4.02, 4.42, 4.98])
-    assert [r.l_over_r for r in rows] == pytest.approx([2.01, 2.21, 2.49])
+def test_coupling_sweep_rows(mode_m40_r2):
+    # out of order on purpose: the rows must follow the input
+    spacings = [4.42, 4.02, 4.98]
+    rows = coupling_sweep(mode_m40_r2, spacings, OMEGA)
+    assert len(rows) == 3
     for row in rows:
-        assert row.m == 40 and row.radius == 2.0
+        assert row.omega == OMEGA
         assert row.kappa_ev == pytest.approx(HBAR_EV_S * row.kappa, rel=1e-12)
-        want = math.log10(abs(row.kappa_ev) / CONSTANTS.zpl_energy)
-        assert row.log10_kappa_over_e0 == pytest.approx(want, rel=1e-12)
         assert row.integrals.beta0 > 0.0
-    assert abs(rows[0].kappa) > abs(rows[1].kappa) > abs(rows[2].kappa)
+    assert abs(rows[1].kappa) > abs(rows[0].kappa) > abs(rows[2].kappa)
+    assert coupling_sweep(mode_m40_r2, spacings, OMEGA, threads=2) == rows
 
 
 def test_fit_loglinear_recovers_exact_line():

@@ -5,6 +5,7 @@ import math
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
@@ -165,6 +166,25 @@ def test_gate_sim_trajectory_file(capsys, tmp_path):
     assert t_end == pytest.approx(duration * 2.95e15, rel=1e-9)
     # populations stay in [0, 1]
     assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+
+
+def test_gate_sim_p_aux_is_the_direct_aux_sum(capsys, tmp_path):
+    # p_aux sums |c_4|^2 + ... + |c_7|^2 directly: 1 - (p00 + ... + p11)
+    # cancels, and where p_aux is small its last printed digits were noise
+    out_path = tmp_path / "traj.csv"
+    assert run(capsys, ["gate-sim", "--out", str(out_path)])[0] == 0
+    header, rows = csv_body(out_path.read_text())
+    col = header.index("p_aux")
+    *_, sup = run_cz([RegisterState.basis(i) for i in range(4)]
+                     + [RegisterState.logical_superposition()],
+                     load_config(None).gate)
+    amps = sup.trajectory.amplitudes
+    direct = np.sum(np.abs(amps[:, 4:]) ** 2, axis=1)
+    assert len(rows) == len(direct)
+    for row, want in zip(rows, direct):
+        # at the 12 printed digits
+        assert float(row[col]) == pytest.approx(float(f"{want:.12g}"),
+                                                rel=1e-12, abs=0.0)
 
 
 def test_gate_sim_csv_and_json_agree(capsys, tmp_path):

@@ -26,7 +26,6 @@ def test_defaults(config):
     assert config.gate.omega_a0 == 2.95e15
     assert config.gate.guard == "calibrated"
     assert config.gate.samples == 1200
-    assert config.chain.bloch == 0.0
 
 
 def test_spacings_scale_with_radius(config):
@@ -50,7 +49,7 @@ azimuthal_number = 50
     # everything not mentioned keeps its default
     assert cfg.disk.refractive_index == 2.4
     assert cfg.gate.g1 == 1.0e10
-    assert cfg.chain.spacing == pytest.approx(2.01 * 2.0)
+    assert cfg.spacings()[0] == pytest.approx(2.01 * 2.0)
 
 
 def test_unit_suffixes_accepted_and_optional(tmp_path):
@@ -58,12 +57,13 @@ def test_unit_suffixes_accepted_and_optional(tmp_path):
 [gate]
 g1 = 1.1e10 rad_s
 epsilon = 0.02
-[chain]
-bloch = 0.5 rad
+[pulses]
+guard = fixed
+fixed_gap = 2e-11 s
 """))
     assert cfg.gate.g1 == 1.1e10
     assert cfg.gate.epsilon == 0.02
-    assert cfg.chain.bloch == 0.5
+    assert cfg.gate.fixed_gap == 2e-11
 
 
 def test_inline_comments_stripped(tmp_path):
@@ -84,6 +84,9 @@ def test_unknown_section(tmp_path):
 def test_unknown_key(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(write(tmp_path, "[disk]\ncurvature = 3.0\n"))
+    # [chain] bloch was parsed but never read, and is no longer a key
+    with pytest.raises(ConfigError, match="unknown key 'bloch'"):
+        load_config(write(tmp_path, "[chain]\nbloch = 0.0 rad\n"))
 
 
 def test_empty_file_rejected(tmp_path):
@@ -104,11 +107,6 @@ def test_not_a_number(tmp_path):
 def test_physical_validation_becomes_config_error(tmp_path):
     with pytest.raises(ConfigError, match="n_c > 1 required"):
         load_config(write(tmp_path, "[disk]\nrefractive_index = 0.5\n"))
-
-
-def test_bloch_outside_zone(tmp_path):
-    with pytest.raises(ConfigError, match="KL"):
-        load_config(write(tmp_path, "[chain]\nbloch = 7.0 rad\n"))
 
 
 def test_bad_guard(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from diskchain import dynamics
-from diskchain import (DetuningPulse, GateFailure, GateParams, NvParams,
+from diskchain import (DetuningPulse, GateFailure, GateParams,
                        PulseSchedule, RegisterState, aux_leakage,
                        build_hamiltonian, evolve, excitation_expectation,
                        extract_phases, logical_populations, make_cz_schedule,
@@ -70,15 +70,25 @@ def test_dispersive_limit_is_nearly_identity():
 
 
 def test_nv_params_validation():
-    NvParams(2.95e15, 1e10)
-    with pytest.raises(ValueError, match="g: must be > 0"):
-        NvParams(2.95e15, 0.0)
-    with pytest.raises(ValueError, match="rotating-wave"):
-        NvParams(2.95e15, 1e13)
-    with pytest.raises(ValueError, match="dispersive"):
-        NvParams(2.95e15, 1e10, delta_max=5e10)
+    # both emitters share omega_a0, D_g and delta_max; each coupling is
+    # checked on its own and named in the message
+    GateParams(g1=1e10, g2=1e10)
+    with pytest.raises(ValueError, match="g1: must be > 0"):
+        GateParams(g1=0.0)
+    with pytest.raises(ValueError, match="g2: must be > 0"):
+        GateParams(g2=0.0)
+    with pytest.raises(ValueError, match="g1: rotating-wave"):
+        GateParams(g1=1e13)
+    with pytest.raises(ValueError, match="g2: rotating-wave"):
+        GateParams(g2=1e13)
+    with pytest.raises(ValueError, match="dispersive parking needs "
+                                         "delta_max/g1"):
+        GateParams(delta_max=5e10)
+    with pytest.raises(ValueError, match="dispersive parking needs "
+                                         "delta_max/g2"):
+        GateParams(g1=1e9, delta_max=5e10)
     with pytest.raises(ValueError, match="omega_a0"):
-        NvParams(-1.0, 1e10)
+        GateParams(omega_a0=-1.0)
 
 
 def test_gate_params():
@@ -161,9 +171,8 @@ def test_fixed_schedule_geometry():
 
 def test_hamiltonian_structure():
     sched = make_cz_schedule(PARAMS)
-    nvs = (PARAMS.nv1, PARAMS.nv2)
     t_in_w1 = sched.pulses[0].t_on + 0.5 * PARAMS.T1
-    h = build_hamiltonian(t_in_w1, nvs, PARAMS.omega_w, sched)
+    h = build_hamiltonian(t_in_w1, PARAMS, sched)
     assert np.allclose(h, h.conj().T)
     assert h[0, 4] == PARAMS.g1 and h[1, 6] == PARAMS.g1
     assert h[0, 5] == PARAMS.g2 and h[2, 7] == PARAMS.g2
@@ -172,7 +181,7 @@ def test_hamiltonian_structure():
     # on resonance the coupled pair is degenerate
     assert h[4, 4] == pytest.approx(h[0, 0])
     # parked, it is split by the full detuning
-    h_idle = build_hamiltonian(0.0, nvs, PARAMS.omega_w, sched)
+    h_idle = build_hamiltonian(0.0, PARAMS, sched)
     assert h_idle[4, 4] - h_idle[0, 0] == pytest.approx(-PARAMS.delta_max)
     assert h_idle[5, 5] - h_idle[0, 0] == pytest.approx(-PARAMS.delta_max)
 
@@ -186,10 +195,9 @@ def segment_oracle(schedule, params, c0):
     cuts = sorted({0.0, schedule.duration}
                   | {p.t_on for p in schedule.pulses}
                   | {p.t_off for p in schedule.pulses})
-    nvs = (params.nv1, params.nv2)
     c = np.asarray(c0, dtype=complex)
     for a, b in zip(cuts[:-1], cuts[1:]):
-        h = build_hamiltonian(0.5 * (a + b), nvs, params.omega_w, schedule)
+        h = build_hamiltonian(0.5 * (a + b), params, schedule)
         c = oracles.propagate_ref(h, b - a, c)
     return c
 
@@ -207,11 +215,10 @@ def test_evolve_matches_expm_oracle():
         # every record, stepping the oracle from one record time to the
         # next; a record interval that straddled a pulse edge would take
         # the wrong Hamiltonian here and miss by far more than the bound
-        nvs = (params.nv1, params.nv2)
         c = c0
         for k in range(1, len(traj.times)):
             a, b = traj.times[k - 1], traj.times[k]
-            h = build_hamiltonian(0.5 * (a + b), nvs, params.omega_w, sched)
+            h = build_hamiltonian(0.5 * (a + b), params, sched)
             c = oracles.propagate_ref(h, b - a, c)
             assert np.max(np.abs(traj.amplitudes[k] - c)) < 1e-10
 
@@ -235,11 +242,10 @@ def test_block_evolve_matches_single_runs_and_oracle():
 
         # every record of every column, the oracle stepping the whole
         # block from one record time to the next
-        nvs = (params.nv1, params.nv2)
         c = block.T
         for k in range(1, n):
             a, b = traj.times[k - 1], traj.times[k]
-            h = build_hamiltonian(0.5 * (a + b), nvs, params.omega_w, sched)
+            h = build_hamiltonian(0.5 * (a + b), params, sched)
             c = oracles.propagate_ref(h, b - a, c)
             assert np.max(np.abs(traj.amplitudes[k] - c.T)) < 1e-10
 
@@ -252,9 +258,12 @@ def test_evolve_rejects_bad_state_shape():
 
 
 def test_evolve_rejects_empty_span():
-    sched = make_cz_schedule(PARAMS)
-    with pytest.raises(ValueError, match="t_span"):
-        evolve(RegisterState.basis(0), sched, PARAMS, t_span=(1e-10, 1e-10))
+    # evolve always runs from 0 to the schedule's duration, so an empty
+    # span is refused where the schedule is built
+    with pytest.raises(ValueError, match="duration"):
+        PulseSchedule((), 0.0)
+    with pytest.raises(ValueError, match="duration"):
+        PulseSchedule((), -1e-10)
 
 
 def test_target_pi_window_returns_population():
@@ -284,7 +293,7 @@ def test_parked_leakage_scales_with_detuning():
     def peak(delta):
         params = GateParams(delta_max=delta)
         traj = evolve(RegisterState.basis(0), idle, params, records=600)
-        return max(aux_leakage(c) for c in traj.amplitudes)
+        return float(np.max(aux_leakage(traj.amplitudes)))
 
     ratio = peak(5e11) / peak(1e12)
     assert 2.67 < ratio < 6.0

@@ -1,5 +1,5 @@
-"""Disk mode solver: slab equation against the independent bisection
-oracle, the radial resonance condition, and the field profile."""
+"""Disk mode solver: the closed-form slab inverse against the independent
+bisection oracle, the radial resonance condition, and the field profile."""
 
 import math
 
@@ -12,8 +12,8 @@ from scipy.special import jn_zeros
 import oracles
 from diskchain import (BelowCutoffError, CONSTANTS, DiskGeometry,
                        NoSolutionError, WgmMode, field_profile,
-                       radial_residual, slab_effective_index, solve_disk,
-                       solve_mode, thickness_for_index)
+                       radial_residual, solve_disk, solve_mode,
+                       thickness_for_index)
 from diskchain.wgm import _first_zero
 
 K0 = CONSTANTS.k0
@@ -22,41 +22,44 @@ NC = 2.4
 
 @pytest.mark.parametrize("h", [0.143, 0.469, 0.085, 0.397])
 def test_slab_against_bisection_oracle(h):
-    got = slab_effective_index(K0, h, NC)
-    assert abs(got - oracles.slab_index_ref(K0, h, NC)) < 1e-9
+    # the design-table thicknesses: the oracle's index there, carried back
+    # through the closed form, lands on the same thickness and index
+    n = oracles.slab_index_ref(K0, h, NC)
+    got = thickness_for_index(K0, n, NC)
+    assert abs(oracles.slab_index_ref(K0, got, NC) - n) < 1e-9
+    assert got == pytest.approx(h, rel=1e-7)
 
 
-@given(h=st.floats(0.02, 1.2))
+@given(n=st.floats(1.01, 2.39))
 @settings(max_examples=30, deadline=None)
-def test_slab_oracle_property(h):
-    got = slab_effective_index(K0, h, NC)
-    assert abs(got - oracles.slab_index_ref(K0, h, NC)) < 1e-9
+def test_slab_oracle_property(n):
+    h = thickness_for_index(K0, n, NC)
+    assert abs(oracles.slab_index_ref(K0, h, NC) - n) < 1e-9
 
 
 def test_slab_monotone_in_thickness():
-    hs = np.linspace(0.05, 0.8, 12)
-    ns = [slab_effective_index(K0, h, NC) for h in hs]
-    assert all(a < b for a, b in zip(ns, ns[1:]))
-    assert all(1.0 < n < NC for n in ns)
+    # a thicker slab confines more: n_eff rises with h
+    ns = np.linspace(1.05, 2.35, 12)
+    hs = [thickness_for_index(K0, n, NC) for n in ns]
+    assert all(a < b for a, b in zip(hs, hs[1:]))
+    assert all(h > 0.0 for h in hs)
 
 
 def test_thickness_inverse_round_trip():
     for n_eff in (1.2, 1.6, 2.1):
         h = thickness_for_index(K0, n_eff, NC)
-        assert abs(slab_effective_index(K0, h, NC) - n_eff) < 1e-10
+        assert abs(oracles.slab_index_ref(K0, h, NC) - n_eff) < 1e-10
 
 
 def test_slab_domain_errors():
     with pytest.raises(ValueError):
-        slab_effective_index(0.0, 0.1, NC)
-    with pytest.raises(ValueError):
-        slab_effective_index(K0, -0.1, NC)
-    with pytest.raises(ValueError):
-        slab_effective_index(K0, 0.1, 0.9)
-    with pytest.raises(ValueError):
         thickness_for_index(K0, 2.4, NC)
     with pytest.raises(ValueError):
         thickness_for_index(K0, 0.99, NC)
+    with pytest.raises(ValueError):
+        thickness_for_index(K0, 1.0, NC)
+    with pytest.raises(ValueError):
+        thickness_for_index(K0, 1.5, 0.9)
 
 
 # a few spot rows of the design table; the full table is an acceptance
