@@ -4,13 +4,11 @@ photon-mediated controlled-Z gate between two NV spins."""
 
 __version__ = "0.1.0"
 
-from .core import (CONSTANTS, PhysicalConstants, energy_to_freq,
-                   freq_to_energy, freq_to_wavelength, wavelength_to_freq)
+from .core import CONSTANTS, PhysicalConstants, wavelength_to_freq
 from .specfun import bessel_j, bessel_y, hankel1
-from .wgm import (BelowCutoffError, DiskGeometry, FieldProfile,
-                  NoSolutionError, WgmMode, axial_norm_integral,
-                  field_profile, radial_residual, solve_disk, solve_mode,
-                  thickness_for_index)
+from .wgm import (DiskGeometry, FieldProfile, NoSolutionError, WgmMode,
+                  axial_norm_integral, radial_residual, solve_disk,
+                  solve_mode, thickness_for_index)
 from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
                     ValidityWarning, coupling_kappa, coupling_sweep,
                     dispersion, fit_loglinear, overlap_integrals)

@@ -28,11 +28,10 @@ from .core import CONSTANTS, wavelength_to_freq
 from .dynamics import (GateFailure, RegisterState, aux_leakage,
                        extract_phases, logical_populations, run_cz)
 from .verify import run_all
-from .wgm import (BelowCutoffError, NoSolutionError, radial_residual,
-                  solve_disk, solve_mode)
+from .wgm import NoSolutionError, radial_residual, solve_disk, solve_mode
 
-_NUMERICAL_ERRORS = (NoSolutionError, BelowCutoffError, QuadratureError,
-                     GateFailure, FloatingPointError)
+_NUMERICAL_ERRORS = (NoSolutionError, QuadratureError, GateFailure,
+                     FloatingPointError)
 
 
 class _UsageError(Exception):
@@ -111,7 +110,7 @@ def cmd_disk_solve(cfg: SimConfig, args) -> int:
         m, radius = row
         try:
             n_eff, h = solve_disk(radius, m, cfg.wavelength, n_c)
-        except (NoSolutionError, BelowCutoffError):
+        except NoSolutionError:
             return [m, radius, None, None, None, "no solution"]
         resid = abs(radial_residual(m, k0, n_eff, radius))
         return [m, radius, n_eff, h, resid, "ok"]

@@ -126,11 +126,6 @@ def load_config(path=None) -> SimConfig:
     return _build(_merged(text, str(path)))
 
 
-def config_from_text(text: str) -> SimConfig:
-    """Parse configuration from a string, as load_config parses a file."""
-    return _build(_merged(text, "<string>"))
-
-
 def _build(v: dict) -> SimConfig:
     """SimConfig from the merged raw values of _merged, validated."""
     disk_s, chain_s, gate_s, pulse_s = (v["disk"], v["chain"], v["gate"],
@@ -183,7 +178,7 @@ def _build(v: dict) -> SimConfig:
     if not l_over_r:
         raise ConfigError("[chain] l_over_r: at least one spacing required")
 
-    guard = pulse_s.get("guard", "calibrated").strip()
+    guard = pulse_s["guard"].strip()
     samples = num("pulses", pulse_s, "samples")
     if samples != int(samples):
         raise ConfigError(f"[pulses] samples: integer required, got {samples}")

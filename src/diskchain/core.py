@@ -30,21 +30,10 @@ HBAR_EV_S = 6.582119569e-16          # eV*s
 class PhysicalConstants:
     """Fixed device constants of the diamond microdisk register."""
 
-    speed_of_light: float = SPEED_OF_LIGHT_UM_S  # um/s
     zpl_wavelength: float = 0.637                # um, NV zero-phonon line
     zpl_energy: float = 1.945                    # eV, same transition
     diamond_index: float = 2.4                   # refractive index n_c
     zero_field_splitting: float = 2.87e9         # Hz (cyclic), ground-state D_g
-
-    @property
-    def k0(self) -> float:
-        """Vacuum wavevector 2*pi/lambda0 in 1/um."""
-        return 2.0 * math.pi / self.zpl_wavelength
-
-    @property
-    def omega0(self) -> float:
-        """Angular ZPL frequency 2*pi*c/lambda0 in rad/s (= 2.957e15)."""
-        return 2.0 * math.pi * self.speed_of_light / self.zpl_wavelength
 
     @property
     def zero_field_splitting_rad_s(self) -> float:
@@ -54,32 +43,9 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-def freq_to_energy(omega: float) -> float:
-    """hbar*omega in eV for an angular frequency omega in rad/s.
-
-    Negative frequencies are rejected: every frequency handled here is a
-    physical mode or transition frequency.
-    """
-    if omega < 0.0:
-        raise ValueError("freq_to_energy: omega must be >= 0")
-    return HBAR_EV_S * omega
-
-
-def energy_to_freq(energy_ev: float) -> float:
-    """Inverse of freq_to_energy."""
-    if energy_ev < 0.0:
-        raise ValueError("energy_to_freq: energy must be >= 0")
-    return energy_ev / HBAR_EV_S
-
-
 def wavelength_to_freq(lam_um: float) -> float:
     """Angular frequency 2*pi*c/lambda for a vacuum wavelength in um."""
     if lam_um <= 0.0:
         raise ValueError("wavelength_to_freq: wavelength must be > 0")
     return 2.0 * math.pi * SPEED_OF_LIGHT_UM_S / lam_um
 
-
-def freq_to_wavelength(omega: float) -> float:
-    if omega <= 0.0:
-        raise ValueError("freq_to_wavelength: omega must be > 0")
-    return 2.0 * math.pi * SPEED_OF_LIGHT_UM_S / omega

@@ -58,7 +58,6 @@ import numpy as np
 
 from .core import CONSTANTS
 
-DARK_INDEX = 3
 LOGICAL_INDICES = (0, 1, 2, 3)
 
 # (bright state, excited partner, coupling qubit) for the four transitions
@@ -189,12 +188,12 @@ class PulseSchedule:
                 on[p.qubit - 1] = True
         return tuple(on)
 
-    def validate_against(self, params: GateParams, rtol: float = 1e-9) -> None:
+    def validate_against(self, params: GateParams) -> None:
         """Check every window has the nominal pi/2 (qubit 1) or pi
-        (qubit 2) duration for these couplings."""
+        (qubit 2) duration for these couplings, to 1e-9 relative."""
         want = {1: params.T1, 2: params.T2}
         for p in self.pulses:
-            if abs(p.width - want[p.qubit]) > rtol * want[p.qubit]:
+            if abs(p.width - want[p.qubit]) > 1e-9 * want[p.qubit]:
                 raise ValueError(
                     f"qubit-{p.qubit} window of {p.width:.6e} s is not the "
                     f"nominal {want[p.qubit]:.6e} s")
@@ -275,9 +274,6 @@ class RegisterState:
         c = np.zeros(8, dtype=complex)
         c[list(LOGICAL_INDICES)] = 0.5
         return cls(c)
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def logical_populations(amplitudes) -> np.ndarray:
@@ -383,24 +379,21 @@ class Trajectory:
     times: np.ndarray          # (n,)
     amplitudes: np.ndarray     # (n, 8), or (n, k, 8) for a block; complex
     theta: np.ndarray          # (n, 8) float
-    schedule: PulseSchedule
-    params: Optional[GateParams] = None
 
     @property
     def final(self) -> np.ndarray:
         return self.amplitudes[-1]
 
 
-def evolve(state, schedule: PulseSchedule, params: GateParams, *,
-           records: Optional[int] = None) -> Trajectory:
+def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
     """Propagate the register exactly through a pulse schedule.
 
     The Hamiltonian is constant between pulse edges.  Each such segment
-    is cut into n = max(1, round(records * duration / total)) equal
-    record intervals tau, and the state advanced once per record by
+    is cut into n = max(1, round(params.samples * duration / total))
+    equal record intervals tau, and the state advanced once per record by
     U = exp(-i H tau).  The trajectory holds the start state and every
     record; the last record of a segment falls exactly on its end, so
-    `records` (default params.samples) gives about records + 1 rows.
+    params.samples gives about samples + 1 rows.
 
     `state` is one state (a RegisterState or 8 amplitudes), giving (n, 8)
     amplitudes, or a (k, 8) block of states advanced together by each
@@ -411,7 +404,6 @@ def evolve(state, schedule: PulseSchedule, params: GateParams, *,
     if c0.ndim not in (1, 2) or c0.shape[-1] != 8:
         raise ValueError(
             f"need 8 amplitudes or a (k, 8) block, got shape {c0.shape}")
-    n_rec = records if records is not None else params.samples
     total = schedule.duration
 
     cuts = {0.0, total} | {e for p in schedule.pulses
@@ -428,7 +420,7 @@ def evolve(state, schedule: PulseSchedule, params: GateParams, *,
         h = build_hamiltonian(0.5 * (a + b), params, schedule)
         diag = np.real(np.diag(h))
         dur = b - a
-        n = max(1, round(n_rec * dur / total))
+        n = max(1, round(params.samples * dur / total))
         u = _expm(-1j * (dur / n) * h)
         seg = np.empty((n,) + c.shape, dtype=complex)
         for k in range(n):
@@ -443,8 +435,7 @@ def evolve(state, schedule: PulseSchedule, params: GateParams, *,
 
     return Trajectory(times=np.concatenate(ts),
                       amplitudes=np.concatenate(amps).reshape((-1,) + c0.shape),
-                      theta=np.concatenate(thetas),
-                      schedule=schedule, params=params)
+                      theta=np.concatenate(thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +462,6 @@ class PhaseReport:
     state i into (-pi, pi].
     """
 
-    times: np.ndarray
     phases: np.ndarray
     valid: np.ndarray
     final: np.ndarray
@@ -500,8 +490,7 @@ def extract_phases(trajectory: Trajectory,
     phases = np.where(last >= 0, phases[np.maximum(last, 0), np.arange(8)], 0.0)
     final = np.array([_fold(float(phases[-1, i])) if last[-1, i] >= 0 else 0.0
                       for i in range(8)])
-    return PhaseReport(times=trajectory.times, phases=phases, valid=valid,
-                       final=final)
+    return PhaseReport(phases=phases, valid=valid, final=final)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +535,7 @@ def run_cz(initial, params: GateParams = GateParams()):
     results = []
     for i, state in enumerate(states):
         traj = Trajectory(times=block.times, amplitudes=block.amplitudes[:, i],
-                          theta=block.theta, schedule=schedule, params=params)
+                          theta=block.theta)
         leak_t = aux_leakage(traj.amplitudes)
         leakage = float(leak_t[-1])
         peak = float(np.max(leak_t))

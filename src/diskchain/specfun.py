@@ -12,7 +12,8 @@ implementations here follow the classical numeric recipes:
   log series for x <= 13 (summed across all lanes at once; the series
   loses ~5 digits to cancellation near the seam) and from the Hankel P/Q
   asymptotic expansion beyond.  Upward recurrence is stable for Y because
-  Y_m grows with m.
+  Y_m grows with m; where it outgrows double precision the value comes
+  back inf or nan without a warning, and the caller checks.
 * H_m^(1) = J_m + i Y_m.
 
 Everything accepts scalars or numpy arrays of the argument; arrays are the
@@ -190,7 +191,7 @@ def bessel_y(m: int, x):
             res = y1
         else:
             ym1, yc = y0, y1
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 for k in range(1, m):
                     ym1, yc = yc, (2.0 * k) / flat * yc - ym1
             res = yc

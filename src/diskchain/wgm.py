@@ -28,18 +28,12 @@ from dataclasses import dataclass
 import math
 from typing import Optional
 
-import numpy as np
-
 from .core import CONSTANTS
 from .specfun import bessel_j, hankel1
 
 
 class NoSolutionError(RuntimeError):
     """No whispering-gallery solution for the requested geometry."""
-
-
-class BelowCutoffError(RuntimeError):
-    """Slab too thin: no fundamental-branch guided solution."""
 
 
 @dataclass(frozen=True)
@@ -79,17 +73,14 @@ class WgmMode:
     geometry: DiskGeometry
 
     def __post_init__(self):
+        if self.geometry.thickness is None:
+            raise ValueError("geometry: a solved mode needs the disk thickness")
         nc = self.geometry.refractive_index
         if not (1.0 < self.n_eff < nc):
             raise ValueError(f"n_eff: must lie in (1, n_c), got {self.n_eff}")
         beta_def = self.k * math.sqrt(nc * nc - self.n_eff * self.n_eff)
         if abs(self.beta - beta_def) > 1e-9 * max(1.0, beta_def):
             raise ValueError("beta: inconsistent with k*sqrt(n_c^2 - n_eff^2)")
-
-    @property
-    def gamma(self) -> float:
-        """Exterior axial decay constant k*sqrt(n_eff^2 - 1), 1/um."""
-        return self.k * math.sqrt(self.n_eff**2 - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +104,12 @@ def thickness_for_index(k: float, n_eff: float, n_c: float) -> float:
 def radial_residual(m: int, k: float, n_eff: float, R: float) -> complex:
     """LHS - RHS of the radial resonance condition, complex.
 
-    Near a zero of J_m(k n_eff R) the left side has a pole; there the
-    reciprocal form (inverted ratios, same root set) is returned instead
-    so scans across the pole stay finite.
+    The left side has a pole at each zero of J_m(k n_eff R); a
+    fundamental-order root lies below the first one, where J_m > 0.
     """
     x_in = k * n_eff * R
-    j0 = bessel_j(m, x_in)
-    j1 = bessel_j(m + 1, x_in)
-    h0 = hankel1(m, k * R)
-    h1 = hankel1(m + 1, k * R)
-    if abs(j0) < 1e-10 * abs(j1):
-        return j0 / (n_eff * j1) - h0 / h1
-    return n_eff * j1 / j0 - h1 / h0
+    return (n_eff * bessel_j(m + 1, x_in) / bessel_j(m, x_in)
+            - hankel1(m + 1, k * R) / hankel1(m, k * R))
 
 
 def _first_zero(m: int) -> float:
@@ -156,10 +141,16 @@ def solve_disk(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
     n J_{m+1}/J_m - Re(H_{m+1}/H_m) rises strictly to +inf at j_{m,1}: the
     bracket holds one root and no pole, and a root outside it is a higher
     radial order.  The signs at the two ends decide whether the root
-    exists (past the cutoff it does not: NoSolutionError).  Newton steps,
-    with bisection wherever a step would leave the bracket, close it to
-    two adjacent doubles.  The derivative needs no further Bessel value:
+    exists (past the cutoff it does not: NoSolutionError); an empty
+    bracket, as for a radius far past the cutoff, is decided before any
+    cylinder function is evaluated.  Newton steps, with bisection
+    wherever a step would leave the bracket, close it to two adjacent
+    doubles.  The derivative needs no further Bessel value:
     with r = J_{m+1}/J_m, dr/dx = 1 - (2m + 1) r/x + r^2.
+
+    Where Y_m(kR) overflows double precision (m beyond ~2300 at guided
+    radii) the Hankel ratio is not finite and FloatingPointError is
+    raised: the root cannot be decided, which is not "no solution".
     """
     if not (R > 0.0 and lam0 > 0.0):
         raise ValueError("solve_disk: R and lam0 must be > 0")
@@ -171,7 +162,16 @@ def solve_disk(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
         raise NoSolutionError(
             f"solve_disk: k R n_c = {k * R * n_c:.2f} <= m = {m}; "
             "no interior oscillatory solution at this radius")
+    lo = max(1.0, m / (k * R))
+    hi = min(n_c, _first_zero(m) / (k * R))
+    if not lo < hi:
+        raise NoSolutionError(
+            f"solve_disk: no fundamental-order radial root for m={m}, R={R}")
     rhs = (hankel1(m + 1, k * R) / hankel1(m, k * R)).real
+    if not math.isfinite(rhs):
+        raise FloatingPointError(
+            f"solve_disk: Hankel ratio H_{m + 1}/H_{m} at kR = {k * R:.6g} "
+            f"is not finite (Y_m overflows) for m={m}, R={R}")
 
     def misfit(n):
         """(misfit, d misfit / dn) at n."""
@@ -179,9 +179,7 @@ def solve_disk(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
         r = bessel_j(m + 1, x) / bessel_j(m, x)
         return n * r - rhs, r + n * k * R * (1.0 - (2 * m + 1) * r / x + r * r)
 
-    lo = max(1.0, m / (k * R))
-    hi = min(n_c, _first_zero(m) / (k * R))
-    if lo < hi and misfit(lo)[0] < 0.0 and (hi < n_c or misfit(hi)[0] > 0.0):
+    if misfit(lo)[0] < 0.0 and (hi < n_c or misfit(hi)[0] > 0.0):
         n = 0.5 * (lo + hi)
         for _ in range(100):
             f, df = misfit(n)
@@ -216,81 +214,20 @@ def solve_mode(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
 
 
 # ---------------------------------------------------------------------------
-# field profile
-
-
-def _radial_factor(mode: WgmMode, rho: np.ndarray) -> np.ndarray:
-    """F(rho) on a 1-d array: J branch inside the rim, Hankel outside, F(R) = 1."""
-    geo = mode.geometry
-    m = geo.azimuthal_number
-    out = np.empty(rho.shape, dtype=complex)
-    inside = rho <= geo.radius
-    if inside.any():
-        jR = bessel_j(m, mode.k * mode.n_eff * geo.radius)
-        out[inside] = bessel_j(m, mode.k * mode.n_eff * rho[inside]) / jR
-    outside = ~inside
-    if outside.any():
-        hR = hankel1(m, mode.k * geo.radius)
-        out[outside] = hankel1(m, mode.k * rho[outside]) / hR
-    return out
-
-
-def _axial_factor(mode: WgmMode, z: np.ndarray) -> np.ndarray:
-    """Even fundamental slab profile on a 1-d array: cos(beta z) inside,
-    exponential decay outside.
-
-    The slab eigenvalue equation carries tan(beta h/2), i.e. an even
-    standing wave across the slab, so that is the profile used (a running
-    exp(i beta z) would not satisfy the matching that produced n_eff).
-    """
-    h2 = 0.5 * (mode.geometry.thickness if mode.geometry.thickness is not None
-                else thickness_for_index(mode.k, mode.n_eff,
-                                         mode.geometry.refractive_index))
-    az = np.abs(z)
-    inside = az <= h2
-    out = np.empty(z.shape, dtype=float)
-    out[inside] = np.cos(mode.beta * z[inside])
-    outside = ~inside
-    if outside.any():
-        edge = math.cos(mode.beta * h2)
-        out[outside] = edge * np.exp(-mode.gamma * (az[outside] - h2))
-    return out
-
-
-def field_profile(mode: WgmMode, rho, z, phi):
-    """E_z of the TM mode at (rho, z, phi): F(rho) * axial(z) * exp(i m phi).
-
-    Scalar or broadcastable array coordinates are accepted alike.
-    """
-    m = mode.geometry.azimuthal_number
-    rho_a, z_a, phi_a = np.broadcast_arrays(np.asarray(rho, dtype=float),
-                                            np.asarray(z, dtype=float),
-                                            np.asarray(phi, dtype=float))
-    if np.any(rho_a < 0.0):
-        raise ValueError("field_profile: rho must be >= 0")
-    shape = rho_a.shape
-    val = _radial_factor(mode, rho_a.ravel()) \
-        * _axial_factor(mode, z_a.ravel()) \
-        * np.exp(1j * m * phi_a.ravel())
-    if shape == ():
-        return complex(val[0])
-    return val.reshape(shape)
+# field amplitude and axial norm
 
 
 @dataclass(frozen=True)
 class FieldProfile:
-    """Callable field of one solved mode, with an overall amplitude.
+    """One solved mode with an overall field amplitude.
 
-    The bare profile is normalised to F(R) = 1 at the rim; amplitude is a
+    The bare field is normalised to F(R) = 1 at the rim; amplitude is a
     free overall constant (the hopping rate must not depend on it, which
-    the test suite asserts).
+    the acceptance checks assert).
     """
 
     mode: WgmMode
     amplitude: float = 1.0
-
-    def __call__(self, rho, z, phi):
-        return self.amplitude * field_profile(self.mode, rho, z, phi)
 
 
 def axial_norm_integral(mode: WgmMode) -> float:
@@ -302,7 +239,4 @@ def axial_norm_integral(mode: WgmMode) -> float:
     cancels from all report ratios.
     """
     h = mode.geometry.thickness
-    if h is None:
-        h = thickness_for_index(mode.k, mode.n_eff,
-                                mode.geometry.refractive_index)
     return 0.5 * h + math.sin(mode.beta * h) / (2.0 * mode.beta)

@@ -11,12 +11,12 @@ from diskchain import (CONSTANTS, DiskGeometry, FieldProfile, GateParams,
                        OverlapIntegrals, QuadratureError, ValidityWarning,
                        coupling_kappa, coupling_sweep, dispersion,
                        fit_loglinear, make_cz_schedule, overlap_integrals,
-                       solve_mode)
+                       solve_mode, wavelength_to_freq)
 import diskchain.chain as chain_module
 from diskchain.chain import _transverse
 from diskchain.core import HBAR_EV_S
 
-OMEGA = 2.0 * math.pi * CONSTANTS.speed_of_light / CONSTANTS.zpl_wavelength
+OMEGA = wavelength_to_freq(CONSTANTS.zpl_wavelength)
 
 
 def test_overlaps_symmetric_in_spacing_sign(mode_m40_r2):

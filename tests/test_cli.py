@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -41,7 +42,9 @@ def csv_body(text):
     return header, rows
 
 
-def test_disk_solve_deterministic_and_threaded(capsys, small_cfg):
+def test_disk_solve_deterministic_and_ignores_threads(capsys, small_cfg):
+    # disk-solve is serial; --threads is accepted by every command (the
+    # benchmark passes it to all of them) and changes nothing here
     a = run(capsys, ["disk-solve", "--config", small_cfg])
     b = run(capsys, ["disk-solve", "--config", small_cfg])
     c = run(capsys, ["disk-solve", "--config", small_cfg, "--threads", "2"])
@@ -59,16 +62,49 @@ def test_disk_solve_deterministic_and_threaded(capsys, small_cfg):
 def test_disk_solve_reports_unsolvable_rows(capsys, tmp_path):
     p = tmp_path / "bad_row.ini"
     # 40 0.5 is below the oscillatory region; the other rows are past the
-    # fundamental cutoff, where only higher radial orders have roots
+    # fundamental cutoff, where only higher radial orders have roots.  At
+    # 40 2000.0, k R = 19,729 lies beyond the cylinder functions' range,
+    # but the bracket (max(kR, m), j_{m,1}) is empty and none is evaluated
     p.write_text("[disk]\nsolve_rows = 40 2.0; 40 0.5; 40 4.4; 40 5.0; "
-                 "43 4.8; 45 5.0; 40 40.0\n")
-    code, out, _ = run(capsys, ["disk-solve", "--config", str(p)])
-    assert code == 0
+                 "43 4.8; 45 5.0; 40 40.0; 40 2000.0\n")
+    code, out, err = run(capsys, ["disk-solve", "--config", str(p)])
+    assert (code, err) == (0, "")
     _, rows = csv_body(out)
+    assert len(rows) == 8
     assert rows[0][5] == "ok"
     for row in rows[1:]:
         assert row[5] == "no solution"
         assert row[2] == "" and row[3] == ""
+
+
+@pytest.mark.parametrize("command", ["coupling-sweep", "dispersion"])
+def test_chain_commands_far_past_cutoff_fail_in_one_line(capsys, tmp_path,
+                                                         command):
+    p = tmp_path / "huge.ini"
+    p.write_text("[disk]\nradius = 2000 um\n")
+    code, out, err = run(capsys, [command, "--config", str(p)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "diskchain: numerical failure: solve_disk: no fundamental-order "
+        "radial root for m=40, R=2000.0"]
+
+
+def test_disk_solve_overflowing_hankel_ratio_is_a_numerical_failure(
+        capsys, tmp_path):
+    # at m = 3000, R = 180 um the row has a fundamental root (n_eff near
+    # 1.7041 with an arbitrary-precision Hankel ratio), but Y_m(kR)
+    # overflows double precision: the run must stop with one line, never
+    # print "no solution" or a bare numpy warning
+    p = tmp_path / "high_order.ini"
+    p.write_text("[disk]\nsolve_rows = 40 2.0; 3000 180.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["disk-solve", "--config", str(p)])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("diskchain: numerical failure: ")
+    assert "m=3000, R=180.0" in lines[0]
 
 
 @given(rows=st.lists(st.tuples(st.integers(-3, 80), st.floats(-1.0, 50.0)),

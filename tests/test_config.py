@@ -3,7 +3,6 @@ import math
 import pytest
 
 from diskchain import ConfigError, default_config, load_config
-from diskchain.config import config_from_text
 
 
 def write(tmp_path, text):
@@ -137,8 +136,8 @@ def test_l_over_r_malformed(tmp_path):
         load_config(write(tmp_path, "[chain]\nl_over_r = ,\n"))
 
 
-def test_config_from_text_round_trip():
-    cfg = config_from_text("[disk]\nradius = 2.5 um\n")
+def test_config_from_text_round_trip(tmp_path):
+    cfg = load_config(write(tmp_path, "[disk]\nradius = 2.5 um\n"))
     assert cfg.disk.radius == 2.5
     assert cfg.disk.azimuthal_number == 40
 

@@ -1,6 +1,7 @@
 """Register dynamics: pulse bookkeeping, the piecewise-constant
 propagator against an expm oracle, phase extraction, and the gate."""
 
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from diskchain import (DetuningPulse, GateFailure, GateParams,
                        build_hamiltonian, evolve, excitation_expectation,
                        extract_phases, logical_populations, make_cz_schedule,
                        propagator_dispersive, propagator_resonant, run_cz)
-from diskchain.dynamics import DARK_INDEX
-
+# |+1,+2;1>, the state with no dipole-allowed partner
+DARK_INDEX = 3
 PARAMS = GateParams()
 # the default, fixed-gap and off-default schedules the propagator is
 # checked on
@@ -268,7 +269,7 @@ def test_evolve_rejects_empty_span():
 
 def test_target_pi_window_returns_population():
     sched = PulseSchedule((DetuningPulse(2, 0.0, PARAMS.T2),), PARAMS.T2)
-    traj = evolve(RegisterState.basis(0), sched, PARAMS, records=100)
+    traj = evolve(RegisterState.basis(0), sched, replace(PARAMS, samples=100))
     assert abs(traj.final[0]) ** 2 > 0.999
     # the minus sign of a full pi, up to the spectator ac-Stark phase
     # g1^2/delta * T2 ~ 0.03 rad that only the full calibrated sequence
@@ -279,7 +280,7 @@ def test_target_pi_window_returns_population():
 
 def test_control_half_window_transfers_population():
     sched = PulseSchedule((DetuningPulse(1, 0.0, PARAMS.T1),), PARAMS.T1)
-    traj = evolve(RegisterState.basis(0), sched, PARAMS, records=100)
+    traj = evolve(RegisterState.basis(0), sched, replace(PARAMS, samples=100))
     assert abs(traj.final[4]) ** 2 > 0.999
     report = extract_phases(traj)
     assert fold_dev(report.final[4], -math.pi / 2.0) < 0.03
@@ -292,7 +293,8 @@ def test_parked_leakage_scales_with_detuning():
 
     def peak(delta):
         params = GateParams(delta_max=delta)
-        traj = evolve(RegisterState.basis(0), idle, params, records=600)
+        traj = evolve(RegisterState.basis(0), idle,
+                      replace(params, samples=600))
         return float(np.max(aux_leakage(traj.amplitudes)))
 
     ratio = peak(5e11) / peak(1e12)
@@ -404,8 +406,7 @@ def test_phases_match_ref_across_gaps():
     amps = np.where(valid, 1.0, 1e-9) * np.exp(1j * winding)
     theta = rng.uniform(-5.0, 5.0, size=(n, 8))
     traj = dynamics.Trajectory(times=np.arange(n, dtype=float),
-                               amplitudes=amps, theta=theta,
-                               schedule=PulseSchedule((), float(n)))
+                               amplitudes=amps, theta=theta)
     assert_phases_match_ref(traj)
     assert not extract_phases(traj).valid[:, 3].any()
 
@@ -420,7 +421,7 @@ def test_register_state_validation():
     with pytest.raises(ValueError, match="8 amplitudes"):
         RegisterState(np.zeros(4))
     s = RegisterState.basis(3)
-    assert s.populations()[3] == 1.0
+    assert np.abs(s.amplitudes[3]) ** 2 == 1.0
     sup = RegisterState.logical_superposition()
     assert np.allclose(logical_populations(sup.amplitudes), 0.25)
     assert aux_leakage(sup.amplitudes) == 0.0
@@ -437,7 +438,7 @@ def test_gate_truth_table(cz_sup):
         assert fold_dev(phase, target) < 0.05
     assert cz_sup.leakage < 0.01
     assert cz_sup.max_amplitude_error < 0.05
-    pops = cz_sup.final.populations()[:4]
+    pops = np.abs(cz_sup.final.amplitudes[:4]) ** 2
     assert np.max(np.abs(pops - 0.25)) < 0.04
 
 
@@ -496,7 +497,7 @@ def test_phase_gaps_are_flagged_not_nan(cz_sup):
 
 def test_never_populated_track_reports_zero():
     sched = PulseSchedule((DetuningPulse(1, 0.0, PARAMS.T1),), PARAMS.T1)
-    traj = evolve(RegisterState.basis(0), sched, PARAMS, records=50)
+    traj = evolve(RegisterState.basis(0), sched, replace(PARAMS, samples=50))
     report = extract_phases(traj)
     # |g1 +2> never acquires amplitude from |g1 g2>
     assert not report.valid[:, 1].any()
