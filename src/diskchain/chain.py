@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+import functools
 import math
 import warnings
 from typing import Sequence
@@ -98,6 +99,16 @@ class CouplingResult:
 # transverse quadrature
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size
+    and returned read-only, since every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _transverse(mode: WgmMode, L: float, n_r: int, n_phi: int) -> tuple:
     """Transverse-plane integrals over the disk-0 interior.
 
@@ -123,7 +134,7 @@ def _transverse(mode: WgmMode, L: float, n_r: int, n_phi: int) -> tuple:
     R, m = geo.radius, geo.azimuthal_number
     k, n_eff = mode.k, mode.n_eff
 
-    xg, wg = np.polynomial.legendre.leggauss(n_r)
+    xg, wg = _gauss_legendre(n_r)
     rho = 0.5 * R * (xg + 1.0)
     dphi = 2.0 * math.pi / n_phi
     phi = dphi * np.arange(n_phi // 2 + 1)

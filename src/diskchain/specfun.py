@@ -7,13 +7,22 @@ implementations here follow the classical numeric recipes:
 * J_m: Miller's backward recurrence seeded high above the order, with the
   even-sum normalisation J_0 + 2*sum_k J_2k = 1.  Stable for m > x and
   correct for m < x, so a single code path serves both sides of the
-  whispering-gallery turning point.
+  whispering-gallery turning point.  Lanes that outgrow 2^830 are
+  multiplied by 2^-830, a power of two, so a rescale is exact.  One step
+  grows the recurrence by at most 2M/x_min + 1 (M the starting order), so
+  the lanes are tested only as often as that bound lets them approach the
+  largest double from 2^830.  Where (x/2)^2/(m+1) < 2^-54 the value is the
+  leading ascending term (x/2)^m/m!, exact to double precision; there one
+  step of 2k/x could overflow.
 * Y_m: upward recurrence from Y_0, Y_1.  The seeds come from the ascending
   log series for x <= 13 (summed across all lanes at once; the series
   loses ~5 digits to cancellation near the seam) and from the Hankel P/Q
-  asymptotic expansion beyond.  Upward recurrence is stable for Y because
-  Y_m grows with m; where it outgrows double precision the value comes
-  back inf or nan without a warning, and the caller checks.
+  asymptotic expansion beyond.  The expansion stops at the first term
+  below 2^-54 min(|P|, |Q|) in every lane, after which no term can change
+  either sum, or at the 40th term; a lane whose terms start growing again
+  adds no more.  Upward recurrence is stable for Y because Y_m grows with
+  m; where it outgrows double precision the value comes back inf or nan
+  without a warning, and the caller checks.
 * H_m^(1) = J_m + i Y_m.
 
 Everything accepts scalars or numpy arrays of the argument; arrays are the
@@ -39,6 +48,15 @@ _Y_SEAM = 13.0
 
 _X_MAX_J = 1.0e4
 
+# |t| < 2^-54 |s| leaves the double s unchanged by s + t
+_HALF_ULP = 2.0 ** -54
+
+# Miller rescaling: lanes above _J_BIG are multiplied by _J_RESCALE; the
+# largest double is exp(_J_HEADROOM_LOG) times _J_BIG, about 2.5e58
+_J_BIG = 2.0 ** 830
+_J_RESCALE = 2.0 ** -830
+_J_HEADROOM_LOG = math.log(np.finfo(float).max / _J_BIG)
+
 
 def _check_order(m) -> int:
     if not isinstance(m, (int, np.integer)):
@@ -55,10 +73,16 @@ def _check_order(m) -> int:
 def _bessel_j_arr(m: int, x: np.ndarray) -> np.ndarray:
     """Vectorised Miller recurrence; x is a 1-d float array, all finite >= 0."""
     out = np.empty_like(x)
-    zero = x == 0.0
-    if zero.any():
-        out[zero] = 1.0 if m == 0 else 0.0
-    live = ~zero
+    # where (x/2)^2/(m+1) < 2^-54 the ascending series is its leading term
+    # (x/2)^m/m! to double precision; this also covers x = 0 exactly
+    lead = 0.25 * x * x < _HALF_ULP * (m + 1)
+    if lead.any():
+        h = 0.5 * x[lead]
+        t = np.ones_like(h)
+        for j in range(1, m + 1):
+            t *= h / j
+        out[lead] = t
+    live = ~lead
     if not live.any():
         return out
     xv = x[live]
@@ -66,26 +90,36 @@ def _bessel_j_arr(m: int, x: np.ndarray) -> np.ndarray:
     M = int(top + 1.5 * math.sqrt(top) + 36.0)
     if M % 2:
         M += 1
+    inv_x = 1.0 / xv
+    # Each step grows max(|J_k|, |J_{k+1}|) by at most g = 2M/x_min + 1, and
+    # the normalisation 2*even + J_0 stays below M + 3 times the largest |J|
+    # seen.  From below _J_BIG that leaves room for `stride` steps.
+    g = 2.0 * M * float(inv_x.max()) + 1.0
+    stride = max(1, int((_J_HEADROOM_LOG - math.log(M + 3)) / math.log(g)))
     jp = np.zeros_like(xv)            # J_{k+1}
     jc = np.full_like(xv, 1e-30)      # J_k, arbitrary seed
-    norm = np.zeros_like(xv)
+    jm = np.empty_like(xv)
+    even = np.zeros_like(xv)          # J_2 + J_4 + ...
     target = np.zeros_like(xv)
-    inv_x = 1.0 / xv
     for k in range(M, 0, -1):
-        jm = (2.0 * k) * inv_x * jc - jp
-        jp, jc = jc, jm
+        np.multiply(inv_x, 2.0 * k, out=jm)
+        jm *= jc
+        jm -= jp
+        jp, jc, jm = jc, jm, jp
         if k - 1 == m:
-            target = jc.copy()
-        if (k - 1) % 2 == 0:
-            norm += 2.0 * jc if k - 1 > 0 else jc
-        big = np.abs(jc) > 1e250
-        if big.any():
-            # rescale the runaway lanes; Miller only needs ratios
-            jp[big] *= 1e-250
-            jc[big] *= 1e-250
-            norm[big] *= 1e-250
-            target[big] *= 1e-250
-    out[live] = target / norm
+            target[:] = jc
+        if k % 2 and k > 1:
+            even += jc
+        if k % stride == 0 and max(np.abs(jc, out=jm).max(),
+                                   np.abs(jp, out=jm).max()) > _J_BIG:
+            # rescale the runaway lanes by a power of two, exactly; Miller
+            # only needs ratios
+            big = (np.abs(jc) > _J_BIG) | (np.abs(jp) > _J_BIG)
+            for a in (jc, jp, even, target):
+                a[big] *= _J_RESCALE
+    even *= 2.0
+    even += jc                        # J_0 + 2 (J_2 + J_4 + ...)
+    out[live] = np.divide(target, even, out=target)
     return out
 
 
@@ -138,27 +172,48 @@ def _y01_series(n: int, x: np.ndarray) -> np.ndarray:
 def _y01_asymptotic(n: int, x: np.ndarray) -> np.ndarray:
     """Hankel expansion Y_n = sqrt(2/pi x)(P sin w + Q cos w), n in {0,1}.
 
-    The series is asymptotic; each lane stops contributing once its terms
-    start growing again.
+    Term k is a_k / x^k with a_k independent of x, so the term at the
+    smallest argument bounds every lane's term.  A lane stops contributing
+    once its terms start growing again; the loop stops once every term is
+    below 2^-54 min(|P|, |Q|), from where no later term can change a sum.
     """
     mu = 4.0 * n * n
-    P = np.zeros_like(x)
+    x_min = float(x.min())
+    P = np.ones_like(x)
     Q = np.zeros_like(x)
     term = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(0, 40):
-        contrib = np.where(active, term, 0.0)
-        if k % 2 == 0:
-            P += contrib * ((-1.0) ** (k // 2))
+    d = np.empty_like(x)
+    bound = 1.0                       # |term| at x_min
+    floor = math.inf                  # min(|P|, |Q|), refreshed near the end
+    for k in range(1, 40):
+        c = mu - (2 * k - 1) ** 2
+        np.multiply(x, k * 8.0, out=d)
+        # some lane's term can stop shrinking only if 8k x_min <= |c|; the
+        # factors 1 + 1e-12 and 1 + 1e-15 cover rounding
+        grows = k * 8.0 * x_min <= abs(c) * (1.0 + 1e-12)
+        if grows:
+            prev = np.abs(term)
+        term *= c
+        term /= d
+        if grows:
+            term[np.abs(term) >= prev] = 0.0
+        acc = P if k % 2 == 0 else Q
+        if k % 4 < 2:
+            acc += term
         else:
-            Q += contrib * ((-1.0) ** ((k - 1) // 2))
-        nxt = term * (mu - (2 * k + 1) ** 2) / ((k + 1) * 8.0 * x)
-        active &= np.abs(nxt) < np.abs(term)
-        if not active.any():
-            break
-        term = nxt
-    w = x - (0.5 * n + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (P * np.sin(w) + Q * np.cos(w))
+            acc -= term
+        bound *= abs(c) / (k * 8.0 * x_min) * (1.0 + 1e-15)
+        if bound < _HALF_ULP * floor:
+            floor = min(float(np.abs(P).min()), float(np.abs(Q).min()))
+            if bound < _HALF_ULP * floor:
+                break
+    w = np.subtract(x, (0.5 * n + 0.25) * math.pi, out=d)
+    P *= np.sin(w)
+    Q *= np.cos(w, out=w)
+    P += Q
+    np.multiply(x, math.pi, out=Q)
+    np.divide(2.0, Q, out=Q)
+    return np.sqrt(Q, out=Q) * P
 
 
 def _y01(n: int, x: np.ndarray) -> np.ndarray:

@@ -86,6 +86,34 @@ def hankel1_ref(m: int, x: float) -> complex:
     return complex(bessel_j_ref(m, x), bessel_y_ref(m, x))
 
 
+def y01_hankel_ref(n: int, x: np.ndarray) -> np.ndarray:
+    """Y_n, n in {0, 1}, from Hankel's expansion (DLMF 10.17.4),
+
+      Y_n = sqrt(2/pi x) (P sin w + Q cos w),  w = x - (n/2 + 1/4) pi,
+
+    summed term by term for up to 40 terms, each lane stopping at its first
+    term that no longer shrinks.  No convergence test: every lane runs
+    until its terms grow or the 40 terms are used up."""
+    mu = 4.0 * n * n
+    P = np.zeros_like(x)
+    Q = np.zeros_like(x)
+    term = np.ones_like(x)
+    active = np.ones(x.shape, dtype=bool)
+    for k in range(0, 40):
+        contrib = np.where(active, term, 0.0)
+        if k % 2 == 0:
+            P += contrib * ((-1.0) ** (k // 2))
+        else:
+            Q += contrib * ((-1.0) ** ((k - 1) // 2))
+        nxt = term * (mu - (2 * k + 1) ** 2) / ((k + 1) * 8.0 * x)
+        active &= np.abs(nxt) < np.abs(term)
+        if not active.any():
+            break
+        term = nxt
+    w = x - (0.5 * n + 0.25) * math.pi
+    return np.sqrt(2.0 / (math.pi * x)) * (P * np.sin(w) + Q * np.cos(w))
+
+
 def slab_index_ref(k: float, h: float, n_c: float) -> float:
     """Fundamental symmetric-TM slab root, bisected in the axial
     wavevector b on (0, min(pi/h, k sqrt(n_c^2-1))) where the misfit

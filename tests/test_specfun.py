@@ -53,6 +53,70 @@ def test_y_matches_scipy_across_seam(m):
     assert all(agrees_to_ten_digits(g, r) for g, r in zip(got, ref))
 
 
+@pytest.mark.parametrize("m", (0, 1, 40, 45, 50))
+def test_y_matches_scipy_over_mesh_arguments(m):
+    # the overlap mesh evaluates H_m at about 20 to 120; above the seam the
+    # seeds come from the truncated Hankel expansion
+    x = np.concatenate([np.linspace(13.0, 150.0, 20001),
+                        np.geomspace(13.0, 1e4, 4001)])
+    got = bessel_y(m, x)
+    ref = scipy.special.yn(m, x)
+    assert all(agrees_to_ten_digits(g, r) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("n", (0, 1))
+def test_y_seeds_match_full_hankel_expansion(n):
+    # stopping the expansion once no term can change P or Q leaves the
+    # seeds where the full 40-term loop puts them
+    x = np.concatenate([np.nextafter(13.0, 14.0) + np.linspace(0.0, 137.0, 20001),
+                        np.geomspace(13.5, 1e4, 4001)])
+    got = bessel_y(n, x)
+    ref = oracles.y01_hankel_ref(n, x)
+    assert np.all(np.abs(got - ref) <= 5e-16 * np.sqrt(2.0 / (math.pi * x)))
+
+
+def agrees_below_turning_point(m, x, got, ref):
+    # the ten-digit rule is absolute for tiny values; below the turning
+    # point x = m, J_m has no zeros, so there every normal double must also
+    # hold ten digits of its own size
+    x, got, ref = np.broadcast_arrays(x, got, ref)
+    sel = (x < m) & (np.abs(ref) >= np.finfo(float).tiny)
+    return np.all(np.abs(got - ref)[sel] <= 1e-10 * np.abs(ref)[sel])
+
+
+TINY_ARGUMENTS = (1e-300, 1e-100, 1e-62, 1e-20)
+
+
+@pytest.mark.parametrize("m", (0, 1, 5, 40))
+@pytest.mark.parametrize("x", TINY_ARGUMENTS)
+def test_j_at_tiny_arguments(m, x):
+    # one recurrence step of 2k/x would overflow here; the ascending
+    # series' leading term (x/2)^m/m! is exact to double precision instead
+    got, ref = bessel_j(m, x), scipy.special.jv(m, x)
+    assert agrees_to_ten_digits(got, ref)
+    assert agrees_below_turning_point(m, x, got, ref)
+
+
+@pytest.mark.parametrize("m", (0, 1, 5, 40))
+def test_j_tiny_arguments_in_a_mixed_array(m):
+    x = np.array(TINY_ARGUMENTS + (0.0, 1e-8, 1.0, 50.0, 1e4))
+    got, ref = bessel_j(m, x), scipy.special.jv(m, x)
+    assert all(agrees_to_ten_digits(g, r) for g, r in zip(got, ref))
+    assert agrees_below_turning_point(m, x, got, ref)
+
+
+@pytest.mark.parametrize("m", (0, 7, 50, 200))
+def test_j_across_rescaled_lanes(m):
+    # from the top of the recurrence (about 1e4 here) the small-x lanes
+    # outgrow 2^830 several times; they are rescaled between strides while
+    # the large-x lanes are left alone
+    x = np.geomspace(1e-3, 1e4, 2001)
+    got = bessel_j(m, x)
+    ref = scipy.special.jv(m, x)
+    assert all(agrees_to_ten_digits(g, r) for g, r in zip(got, ref))
+    assert agrees_below_turning_point(m, x, got, ref)
+
+
 def test_known_values():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(1, 0.0) == 0.0
