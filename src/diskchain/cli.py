@@ -137,8 +137,11 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
         rows.append([lr, L, res.kappa, res.kappa_ev,
                      math.log10(ratio) if ratio > 0.0 else None])
 
-    slope, intercept, r2 = fit_loglinear(
-        [r[1] for r in rows], [r[2] for r in rows])
+    # a line through fewer than two distinct spacings is no fit
+    slope = intercept = r2 = None
+    if len({r[1] for r in rows}) > 1:
+        slope, intercept, r2 = fit_loglinear(
+            [r[1] for r in rows], [r[2] for r in rows])
     meta = _base_metadata("coupling-sweep", cfg, args)
     meta.update({
         "m": cfg.disk.azimuthal_number,

@@ -99,6 +99,9 @@ class GateParams:
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(
                 f"epsilon: must be > 0 and finite, got {self.epsilon}")
+        if self.fixed_gap is not None and not 0.0 <= self.fixed_gap < math.inf:
+            raise ValueError(
+                f"fixed_gap: must be >= 0 and finite, got {self.fixed_gap}")
         if not 2 <= self.samples < math.inf:
             raise ValueError(f"samples: need a finite count >= 2, got {self.samples}")
         if not 0.0 < self.omega_a0 < math.inf:
@@ -215,8 +218,6 @@ def make_cz_schedule(params: GateParams) -> PulseSchedule:
     T1, T2, dmax = params.T1, params.T2, params.delta_max
     if params.guard == "fixed":
         gap = params.fixed_gap if params.fixed_gap is not None else 5.0 * T1
-        if not 0.0 <= gap < math.inf:
-            raise ValueError(f"fixed_gap: must be >= 0 and finite, got {gap}")
         lead = tail = 0.0
         gap1 = gap2 = gap
     else:

@@ -163,6 +163,17 @@ def test_coupling_sweep_csv_and_json_agree(capsys, small_cfg, tmp_path):
     assert code3 == 0 and out3 == out
 
 
+@pytest.mark.parametrize("spacings", ["2.21", "2.21, 2.21"])
+def test_coupling_sweep_fits_no_line_through_one_spacing(capsys, tmp_path,
+                                                         spacings):
+    p = tmp_path / "one.ini"
+    p.write_text(f"[disk]\nradius = 2.0 um\n[chain]\nl_over_r = {spacings}\n")
+    code, out, err = run(capsys, ["coupling-sweep", "--config", str(p)])
+    assert code == 0 and err == ""
+    for key in ("fit_slope_per_um", "fit_intercept", "fit_r2"):
+        assert f"# {key}: \n" in out
+
+
 def test_dispersion_band_consistency(capsys, small_cfg):
     code, out, _ = run(capsys, ["dispersion", "--config", small_cfg])
     assert code == 0
@@ -299,6 +310,21 @@ def test_bad_values_end_in_one_line_config_error(capsys, tmp_path, command,
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("diskchain: configuration error: [")
+
+
+@pytest.mark.parametrize("command, guard", [
+    ("gate-sim", "fixed"), ("reproduce-tables", "fixed"),
+    ("gate-sim", "calibrated"), ("disk-solve", "calibrated")])
+def test_negative_fixed_gap_is_a_config_error(capsys, tmp_path, command,
+                                              guard):
+    # rejected whichever guard is chosen, before any command runs
+    p = tmp_path / "gap.ini"
+    p.write_text(f"[pulses]\nguard = {guard}\nfixed_gap = -1 s\n")
+    code, _, err = run(capsys, [command, "--config", str(p)])
+    assert code == 1
+    assert err.splitlines() == [
+        "diskchain: configuration error: fixed_gap: must be >= 0 and "
+        "finite, got -1.0"]
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path):
