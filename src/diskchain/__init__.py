@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .core import CONSTANTS, PhysicalConstants, wavelength_to_freq
 from .specfun import bessel_j, bessel_y, hankel1
-from .wgm import (DiskGeometry, FieldProfile, NoSolutionError, WgmMode,
+from .wgm import (DiskGeometry, NoSolutionError, WgmMode,
                   axial_norm_integral, radial_residual, solve_disk,
                   solve_mode, thickness_for_index)
 from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
@@ -15,8 +15,7 @@ from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
 from .dynamics import (CzResult, DetuningPulse, GateFailure, GateParams,
                        PhaseReport, PulseSchedule, RegisterState,
                        Trajectory, aux_leakage, build_hamiltonian, evolve,
-                       excitation_expectation, extract_phases,
-                       logical_populations, make_cz_schedule,
-                       propagator_dispersive, propagator_resonant, run_cz)
+                       extract_phases, logical_populations, make_cz_schedule,
+                       run_cz)
 from .config import ConfigError, SimConfig, default_config, load_config
 from .verify import CheckResult, run_all

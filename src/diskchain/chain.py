@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import HBAR_EV_S
 from .specfun import bessel_j, hankel1
-from .wgm import FieldProfile, WgmMode, axial_norm_integral
+from .wgm import WgmMode, axial_norm_integral
 
 
 class QuadratureError(RuntimeError):
@@ -158,20 +158,15 @@ def _transverse(mode: WgmMode, L: float, n_r: int, n_phi: int) -> tuple:
     return I00, I01, Ida
 
 
-def overlap_integrals(mode, L: float, rtol: float = 5e-3,
+def overlap_integrals(mode: WgmMode, L: float, rtol: float = 5e-3,
                       n_radial: int = 96, max_levels: int = 5) -> OverlapIntegrals:
     """Interior overlap integrals of a disk at 0 and a neighbour at +-L.
 
-    mode may be a WgmMode or a FieldProfile (the latter carries an overall
-    amplitude, which must cancel from every physical ratio).  Resolution
-    is doubled until no integral moves by more than rtol (default the
-    0.5% gate); L may be signed, the mirror symmetry alpha_1 = alpha_{-1},
-    beta_1 = beta_{-1} is a test target, not an assumption.
+    Resolution is doubled until no integral moves by more than rtol
+    (default the 0.5% gate); L may be signed, the mirror symmetry
+    alpha_1 = alpha_{-1}, beta_1 = beta_{-1} is a test target, not an
+    assumption.
     """
-    if isinstance(mode, FieldProfile):
-        amp, mode = mode.amplitude, mode.mode
-    else:
-        amp = 1.0
     geo = mode.geometry
     if not 2.0 * geo.radius <= abs(L) < math.inf:
         raise ValueError(f"overlap_integrals: need finite |L| >= 2R, got "
@@ -199,7 +194,7 @@ def overlap_integrals(mode, L: float, rtol: float = 5e-3,
 
     I00, I01, Ida = cur
     nc2 = geo.refractive_index ** 2
-    scale = amp * amp * axial_norm_integral(mode)
+    scale = axial_norm_integral(mode)
     ints = OverlapIntegrals(
         beta0=nc2 * scale * I00,
         beta1=scale * I01,

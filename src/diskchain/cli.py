@@ -7,7 +7,8 @@ deterministic: same inputs, byte-identical output, and the metadata is
 sufficient to re-run the command.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-failure, 3 reference-table check failure.
+failure (a run too large for memory included), 3 reference-table check
+failure.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from .chain import (QuadratureError, coupling_kappa, coupling_sweep,
 from .config import ConfigError, SimConfig, load_config
 from .core import CONSTANTS, wavelength_to_freq
 from .dynamics import (GateFailure, RegisterState, aux_leakage,
-                       extract_phases, logical_populations, run_cz)
+                       cz_phase_error, extract_phases, logical_populations,
+                       run_cz)
 from .verify import run_all
 from .wgm import NoSolutionError, radial_residual, solve_disk, solve_mode
 
+# a run too large for memory is refused as a numerical failure too
 _NUMERICAL_ERRORS = (NoSolutionError, QuadratureError, GateFailure,
-                     FloatingPointError)
+                     FloatingPointError, MemoryError)
 
 
 class _UsageError(Exception):
@@ -216,11 +219,10 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
         "duration_s": _fmt(sup.schedule.duration),
         "time_unit_s": _fmt(1.0 / scale),
     })
-    targets = (math.pi, math.pi, math.pi, 0.0)
+    phases = [run.phase_report.final[i] for i, run in enumerate(basis_runs)]
     lines = []
-    for i, run in enumerate(basis_runs):
-        phase = run.phase_report.final[i]
-        dev = abs(math.remainder(phase - targets[i], 2.0 * math.pi))
+    for i, (run, phase, dev) in enumerate(
+            zip(basis_runs, phases, cz_phase_error(phases))):
         ret = float(np.abs(run.final.amplitudes[i]) ** 2)
         meta[f"truth_state_{i}"] = (
             f"phase={phase:.6f} rad, dev={dev:.2e} rad, "

@@ -204,7 +204,12 @@ def _build(v: dict) -> SimConfig:
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # every field error starts "<field>: "; name the key as the INI does
+        field, _, why = str(exc).partition(": ")
+        key = field.lower()
+        where = next((f"[{s}] {key}" for s in _SCHEMA if key in _SCHEMA[s]),
+                     field)
+        raise ConfigError(f"{where}: {why}") from exc
 
     return SimConfig(disk=disk, gate=gate, wavelength=wavelength,
                      l_over_r=tuple(l_over_r), solve_rows=tuple(rows))

@@ -39,13 +39,8 @@ for its own -1; the dark state is untouched.  Net truth table
 diag(-1,-1,-1,+1), a controlled-Z up to single-qubit frame choices.
 
 Between and around the windows the parked qubits still talk to the
-photon dispersively and accumulate ac-Stark phase at rate ~ g^2/delta.
-The default schedule calibrates its idle intervals so those strays
-cancel: the second gap is padded to make delta * (mid-sequence span) a
-2pi multiple, and the lead/tail split D is chosen so the qubit-1 and
-qubit-2 stray phases balance.  A plain fixed-gap schedule (several T1 of
-settling either side of each pulse) is available for comparison; it
-leaves stray phases of order 0.1 rad.
+photon dispersively and accumulate ac-Stark phase at rate ~ g^2/delta;
+make_cz_schedule sets the idle intervals so those strays cancel.
 """
 
 from __future__ import annotations
@@ -58,8 +53,6 @@ import numpy as np
 
 from .core import CONSTANTS
 
-LOGICAL_INDICES = (0, 1, 2, 3)
-
 # (bright state, excited partner, coupling qubit) for the four transitions
 _COUPLING_PAIRS = ((0, 4, 1), (1, 6, 1), (0, 5, 2), (2, 7, 2))
 
@@ -67,7 +60,8 @@ _PHASE_FLOOR = 1e-6
 
 
 class GateFailure(RuntimeError):
-    """Gate run left more than epsilon of population outside the qubit space."""
+    """Gate run with no valid result: no pulse schedule, a non-finite or
+    non-unitary propagation, or leakage above epsilon."""
 
     def __init__(self, message: str, diagnostics: Optional[dict] = None):
         super().__init__(message)
@@ -196,10 +190,11 @@ class PulseSchedule:
         (qubit 2) duration for these couplings, to 1e-9 relative."""
         want = {1: params.T1, 2: params.T2}
         for p in self.pulses:
-            if abs(p.width - want[p.qubit]) > 1e-9 * want[p.qubit]:
+            rel = abs(p.width / want[p.qubit] - 1.0)
+            if not rel <= 1e-9:
                 raise ValueError(
-                    f"qubit-{p.qubit} window of {p.width:.6e} s is not the "
-                    f"nominal {want[p.qubit]:.6e} s")
+                    f"qubit-{p.qubit} window is not the nominal "
+                    f"{want[p.qubit]:.6e} s: relative error {rel:.1e}")
 
 
 def make_cz_schedule(params: GateParams) -> PulseSchedule:
@@ -259,7 +254,7 @@ class RegisterState:
             raise ValueError(f"need 8 amplitudes, got shape {c.shape}")
         object.__setattr__(self, "amplitudes", c)
         norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"state norm {norm} deviates from 1 by more "
                              f"than 1e-9")
 
@@ -273,7 +268,7 @@ class RegisterState:
     def logical_superposition(cls) -> "RegisterState":
         """(|g>+|+>)(|g>+|+>)/2 on the qubits, one photon."""
         c = np.zeros(8, dtype=complex)
-        c[list(LOGICAL_INDICES)] = 0.5
+        c[:4] = 0.5
         return cls(c)
 
 
@@ -291,17 +286,8 @@ def aux_leakage(amplitudes):
     return np.sum(np.abs(c[..., 4:]) ** 2, axis=-1)
 
 
-def excitation_expectation(amplitudes) -> float:
-    """<N> with N = photon number + excited-state projectors.  Every basis
-    state here carries N = 1, so this equals the squared norm; it is kept
-    as its own observable because its drift measures how far the
-    propagator is from unitary."""
-    c = np.asarray(amplitudes)
-    return float(np.sum(np.abs(c) ** 2, axis=-1))
-
-
 # ---------------------------------------------------------------------------
-# Hamiltonian and ideal two-level propagators
+# Hamiltonian
 
 
 def build_hamiltonian(t: float, params: GateParams,
@@ -334,20 +320,6 @@ def build_hamiltonian(t: float, params: GateParams,
     for i, j, q in _COUPLING_PAIRS:
         h[i, j] = h[j, i] = gs[q]
     return h
-
-
-def propagator_resonant(theta: float) -> np.ndarray:
-    """Two-level propagator on resonance after pulse area theta = g t:
-    [[cos, -i sin], [-i sin, cos]]."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def propagator_dispersive(theta: float) -> np.ndarray:
-    """Far-detuned two-level propagator diag(e^{i theta}, e^{-i theta});
-    theta is the accumulated ac-Stark half-splitting."""
-    return np.array([[np.exp(1j * theta), 0.0],
-                     [0.0, np.exp(-1j * theta)]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +439,6 @@ class PhaseReport:
     valid: np.ndarray
     final: np.ndarray
 
-    def final_logical(self) -> np.ndarray:
-        return self.final[:4].copy()
-
 
 def extract_phases(trajectory: Trajectory,
                    floor: float = _PHASE_FLOOR) -> PhaseReport:
@@ -498,7 +467,17 @@ def extract_phases(trajectory: Trajectory,
 # the gate
 
 
-_CZ_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0])
+# the target diag(-1, -1, -1, +1) as logical phases; cos gives the signs
+# exactly
+_CZ_PHASES = (math.pi, math.pi, math.pi, 0.0)
+CZ_SIGNS = np.cos(_CZ_PHASES)
+
+
+def cz_phase_error(phases) -> list:
+    """Distance of each of the four logical phases from its CZ target,
+    folded onto [0, pi]."""
+    return [abs(math.remainder(phi - target, 2.0 * math.pi))
+            for phi, target in zip(phases, _CZ_PHASES)]
 
 
 @dataclass(frozen=True)
@@ -507,7 +486,6 @@ class CzResult:
     trajectory: Trajectory
     phase_report: PhaseReport
     leakage: float             # population outside the qubit space at the end
-    peak_leakage: float        # worst instantaneous value along the run
     max_amplitude_error: float # |final - CZ * initial| on the logical block
     schedule: PulseSchedule
 
@@ -520,31 +498,42 @@ def run_cz(initial, params: GateParams = GateParams()):
     and giving a tuple of CzResults in the same order; each result's
     trajectory is an (n, 8) view of the block and shares its theta.
 
-    Raises GateFailure for the first state whose final leakage out of the
-    logical space exceeds params.epsilon.  Phase and amplitude deviations
-    from the ideal diag(-1,-1,-1,+1) are reported in the result (the
-    schedule's calibration keeps them small, but they are diagnostics,
-    not a gate on the run).
+    Raises GateFailure when params admit no valid pulse schedule, when
+    the propagation leaves a final state non-finite or off unit norm by
+    more than 1e-9, and for the first state whose final leakage out of
+    the logical space exceeds params.epsilon.  Phase and amplitude
+    deviations from the ideal diag(-1,-1,-1,+1) are reported in the
+    result (the schedule's calibration keeps them small, but they are
+    diagnostics, not a gate on the run).
     """
     single = isinstance(initial, RegisterState)
     states = [s if isinstance(s, RegisterState) else RegisterState(s)
               for s in ([initial] if single else initial)]
-    schedule = make_cz_schedule(params)
-    schedule.validate_against(params)
-    block = evolve(np.array([s.amplitudes for s in states]), schedule, params)
+    try:
+        schedule = make_cz_schedule(params)
+        schedule.validate_against(params)
+    except (ValueError, OverflowError) as exc:
+        raise GateFailure(f"no valid pulse schedule: {exc}") from exc
+    # a step propagator squared back from a huge norm over- or underflows;
+    # either way some final norm leaves 1 (NaN fails the test too)
+    with np.errstate(all="ignore"):
+        block = evolve(np.array([s.amplitudes for s in states]), schedule,
+                       params)
+        drift = np.abs(np.linalg.norm(block.amplitudes[-1], axis=-1) - 1.0)
+    if not (np.all(drift <= 1e-9) and np.isfinite(block.theta[-1]).all()):
+        raise GateFailure("propagation lost the state norm or overflowed; "
+                          "no finite gate to report")
 
     results = []
     for i, state in enumerate(states):
         traj = Trajectory(times=block.times, amplitudes=block.amplitudes[:, i],
                           theta=block.theta)
-        leak_t = aux_leakage(traj.amplitudes)
-        leakage = float(leak_t[-1])
-        peak = float(np.max(leak_t))
+        leakage = float(aux_leakage(traj.amplitudes[-1]))
 
         # fold the co-moving phase into the final amplitudes before comparing
         # against the ideal gate, so the comparison is frame-consistent
         w_final = traj.amplitudes[-1] * np.exp(1j * traj.theta[-1])
-        ideal = _CZ_SIGNS * state.amplitudes[:4]
+        ideal = CZ_SIGNS * state.amplitudes[:4]
         amp_err = float(np.max(np.abs(w_final[:4] - ideal)))
 
         report = extract_phases(traj)
@@ -554,7 +543,6 @@ def run_cz(initial, params: GateParams = GateParams()):
                 f"epsilon = {params.epsilon:.1e}",
                 diagnostics={
                     "leakage": leakage,
-                    "peak_leakage": peak,
                     "populations": np.abs(w_final) ** 2,
                     "final_phases": report.final,
                     "epsilon": params.epsilon,
@@ -563,6 +551,5 @@ def run_cz(initial, params: GateParams = GateParams()):
         results.append(CzResult(
             final=RegisterState(w_final / np.linalg.norm(w_final)),
             trajectory=traj, phase_report=report, leakage=leakage,
-            peak_leakage=peak, max_amplitude_error=amp_err,
-            schedule=schedule))
+            max_amplitude_error=amp_err, schedule=schedule))
     return results[0] if single else tuple(results)

@@ -214,20 +214,7 @@ def solve_mode(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
 
 
 # ---------------------------------------------------------------------------
-# field amplitude and axial norm
-
-
-@dataclass(frozen=True)
-class FieldProfile:
-    """One solved mode with an overall field amplitude.
-
-    The bare field is normalised to F(R) = 1 at the rim; amplitude is a
-    free overall constant (the hopping rate must not depend on it, which
-    the acceptance checks assert).
-    """
-
-    mode: WgmMode
-    amplitude: float = 1.0
+# axial norm
 
 
 def axial_norm_integral(mode: WgmMode) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from diskchain import (CONSTANTS, DiskGeometry, FieldProfile, GateParams,
+from diskchain import (CONSTANTS, DiskGeometry, GateParams,
                        OverlapIntegrals, QuadratureError, ValidityWarning,
                        coupling_kappa, coupling_sweep, dispersion,
                        fit_loglinear, make_cz_schedule, overlap_integrals,
@@ -132,15 +132,6 @@ def test_mirror_identity_for_ida(mode_m40_r2):
     mirrored = oracles.transverse_ref(mode_m40_r2, 4.42, 96, 320,
                                       mirror=True)[2]
     assert mirrored == pytest.approx(displaced, rel=1e-12)
-
-
-def test_amplitude_cancels_from_kappa(mode_m40_r2, ints_m40_r2):
-    scaled = overlap_integrals(FieldProfile(mode_m40_r2, 3.7), 2.21 * 2.0)
-    assert scaled.beta0 == pytest.approx(3.7 ** 2 * ints_m40_r2.beta0,
-                                         rel=1e-12)
-    a = coupling_kappa(ints_m40_r2, OMEGA)
-    b = coupling_kappa(scaled, OMEGA)
-    assert a.kappa == pytest.approx(b.kappa, rel=1e-12)
 
 
 def test_validity_warning_on_large_ratio():

@@ -299,6 +299,22 @@ def test_usage_errors(capsys, tmp_path):
                  id="l_over_r-below-2"),
     pytest.param("coupling-sweep", "[chain]\nl_over_r = 2.01, nan\n",
                  id="l_over_r-nan"),
+    # rejected by DiskGeometry / GateParams themselves
+    pytest.param("disk-solve", "[disk]\nradius = -1 um\n",
+                 id="radius-negative"),
+    pytest.param("disk-solve", "[disk]\nazimuthal_number = 0\n",
+                 id="azimuthal_number-zero"),
+    pytest.param("disk-solve", "[disk]\nrefractive_index = 0.5\n",
+                 id="refractive_index-below-1"),
+    pytest.param("gate-sim", "[gate]\nepsilon = -1\n", id="epsilon-negative"),
+    pytest.param("gate-sim", "[gate]\ng2 = 0 rad_s\n", id="g2-zero"),
+    pytest.param("gate-sim", "[gate]\nomega_a0 = -1 rad_s\n",
+                 id="omega_a0-negative"),
+    pytest.param("gate-sim", "[gate]\ndelta_max = 1e10 rad_s\n",
+                 id="delta_max-not-parked"),
+    pytest.param("gate-sim", "[pulses]\nguard = sloppy\n",
+                 id="guard-unknown"),
+    pytest.param("gate-sim", "[pulses]\nsamples = 1\n", id="samples-one"),
 ])
 def test_bad_values_end_in_one_line_config_error(capsys, tmp_path, command,
                                                  text):
@@ -309,7 +325,9 @@ def test_bad_values_end_in_one_line_config_error(capsys, tmp_path, command,
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("diskchain: configuration error: [")
+    # the message names the section the offending key sits in
+    section = text.splitlines()[0]
+    assert lines[0].startswith(f"diskchain: configuration error: {section} ")
 
 
 @pytest.mark.parametrize("command, guard", [
@@ -323,8 +341,73 @@ def test_negative_fixed_gap_is_a_config_error(capsys, tmp_path, command,
     code, _, err = run(capsys, [command, "--config", str(p)])
     assert code == 1
     assert err.splitlines() == [
-        "diskchain: configuration error: fixed_gap: must be >= 0 and "
-        "finite, got -1.0"]
+        "diskchain: configuration error: [pulses] fixed_gap: must be >= 0 "
+        "and finite, got -1.0"]
+
+
+def _one_line_failure(code, out, err):
+    """A run ends in a row or in one clean error line, never a traceback."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert "nan" not in out.lower()
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diskchain: ")
+
+
+@pytest.mark.parametrize("command, text", [
+    # exp(-i H tau) overflows in its squarings
+    pytest.param("gate-sim", "[gate]\ndelta_max = 1e300 rad_s\n",
+                 id="delta_max-1e300"),
+    pytest.param("reproduce-tables", "[gate]\ndelta_max = 1e300 rad_s\n",
+                 id="delta_max-1e300-tables"),
+    # the qubit-2 window rounds off its nominal width at t ~ 1e-9 * T1
+    pytest.param("gate-sim", "[gate]\ng1 = 1 rad_s\n", id="g1-1"),
+    # the pi window vanishes into t_on at t ~ 1e30 s
+    pytest.param("gate-sim", "[gate]\ng1 = 1e-30 rad_s\n", id="g1-1e-30"),
+    # the calibrated pad is a ceil of infinity
+    pytest.param("gate-sim", "[gate]\ng2 = 1e-300 rad_s\n", id="g2-1e-300"),
+    # far more records than any memory holds
+    pytest.param("gate-sim", "[pulses]\nsamples = 1e15\n",
+                 id="samples-1e15"),
+])
+def test_gate_inputs_config_accepts_fail_in_one_line(capsys, tmp_path,
+                                                     command, text):
+    p = tmp_path / "gate.ini"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [command, "--config", str(p)])
+    _one_line_failure(code, out, err)
+    assert code == 2
+
+
+_GATE_VALUE = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e-30, 1.0, 1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(1e8, 1e13))
+
+
+@given(values=st.dictionaries(
+           st.sampled_from(["g1", "g2", "delta_max", "omega_a0", "d_g",
+                            "epsilon"]), _GATE_VALUE),
+       samples=st.integers(2, 50))
+@example(values={"delta_max": 1e300}, samples=50)
+@example(values={"g1": 1.0}, samples=2)
+@example(values={"g2": 1e-300}, samples=2)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_gate_sim_property(capsys, tmp_path, values, samples):
+    p = tmp_path / "gate.ini"
+    p.write_text("[gate]\n"
+                 + "".join(f"{k} = {v!r}{'' if k == 'epsilon' else ' rad_s'}\n"
+                           for k, v in values.items())
+                 + f"[pulses]\nsamples = {samples}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["gate-sim", "--config", str(p)])
+    _one_line_failure(code, out, err)
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path):
