@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 
 from .core import CONSTANTS, PhysicalConstants, wavelength_to_freq
 from .specfun import bessel_j, bessel_y, hankel1
-from .wgm import (DiskGeometry, NoSolutionError, WgmMode,
-                  axial_norm_integral, radial_residual, solve_disk,
-                  solve_mode, thickness_for_index)
+from .wgm import (DiskGeometry, NoSolutionError, WgmMode, radial_residual,
+                  solve_disk, solve_mode, thickness_for_index)
 from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
                     ValidityWarning, coupling_kappa, coupling_sweep,
                     dispersion, fit_loglinear, overlap_integrals)

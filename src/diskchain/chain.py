@@ -8,7 +8,8 @@ modes.  Keeping nearest neighbours only, the band is
 with the hopping kappa = zeta * omega / beta0 and zeta = alpha1 - beta1.
 The integrals are taken over disk interiors only (that is where the
 dielectric contrast sits) and separate into (axial) x (transverse)
-factors; the axial factor is analytic and cancels from every ratio.
+factors; the axial factor is common to all five and cancels from every
+ratio, so only the transverse integrals are computed.
 
 Azimuthal basis choice, the one genuinely subtle point here: the overlap
 of a co-rotating pair exp(i m phi0) * exp(-i m phi1) integrates to zero
@@ -24,7 +25,6 @@ standing-wave basis cos(m phi) for both disks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import functools
 import math
@@ -34,8 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import HBAR_EV_S
-from .specfun import bessel_j, hankel1
-from .wgm import WgmMode, axial_norm_integral
+from .specfun import X_MAX, bessel_j, hankel1
+from .wgm import WgmMode
+
+# tight binding holds while every overlap ratio to beta0 stays below this
+VALIDITY_LIMIT = 0.1
 
 
 class QuadratureError(RuntimeError):
@@ -51,8 +54,8 @@ class OverlapIntegrals:
     """The five interior overlap integrals of one disk pair.
 
     Units are an arbitrary but consistent field-norm; only ratios enter
-    any physical output.  n_radial/n_azimuthal/rel_change record the
-    converged quadrature for table metadata.
+    any physical output.  n_radial/n_azimuthal record the converged
+    quadrature for table metadata.
     """
 
     beta0: float
@@ -62,7 +65,6 @@ class OverlapIntegrals:
     zeta: float
     n_radial: int = 0
     n_azimuthal: int = 0
-    rel_change: float = 0.0
 
     def ratios(self) -> dict:
         return {
@@ -75,11 +77,12 @@ class OverlapIntegrals:
         if not self.beta0 > 0.0:
             raise ValueError(f"beta0: must be > 0, got {self.beta0}")
         worst = max(self.ratios().values())
-        if worst > 0.1:
+        if worst > VALIDITY_LIMIT:
             warnings.warn(
                 f"tight-binding validity warning: overlap ratio {worst:.3f} "
-                "exceeds 0.1, nearest-neighbour perturbation theory is "
-                "unreliable at this spacing", ValidityWarning, stacklevel=3)
+                f"exceeds {VALIDITY_LIMIT}, nearest-neighbour perturbation "
+                "theory is unreliable at this spacing", ValidityWarning,
+                stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,11 @@ def overlap_integrals(mode: WgmMode, L: float, rtol: float = 5e-3,
     if not 2.0 * geo.radius <= abs(L) < math.inf:
         raise ValueError(f"overlap_integrals: need finite |L| >= 2R, got "
                          f"L={L}, R={geo.radius}")
+    reach = mode.k * (abs(L) + geo.radius)
+    if reach > X_MAX:
+        raise FloatingPointError(
+            f"overlap_integrals: k (|L| + R) = {reach:.6g} at L={L} lies "
+            "past the cylinder functions' range (0, 1e4]")
     m = geo.azimuthal_number
     n_r = int(n_radial)
     n_phi = 8 * m
@@ -194,16 +202,14 @@ def overlap_integrals(mode: WgmMode, L: float, rtol: float = 5e-3,
 
     I00, I01, Ida = cur
     nc2 = geo.refractive_index ** 2
-    scale = axial_norm_integral(mode)
     ints = OverlapIntegrals(
-        beta0=nc2 * scale * I00,
-        beta1=scale * I01,
-        alpha1=nc2 * scale * I01,
-        delta_alpha=2.0 * (nc2 - 1.0) * scale * Ida,
-        zeta=(nc2 - 1.0) * scale * I01,
+        beta0=nc2 * I00,
+        beta1=I01,
+        alpha1=nc2 * I01,
+        delta_alpha=2.0 * (nc2 - 1.0) * Ida,
+        zeta=(nc2 - 1.0) * I01,
         n_radial=n_r,
         n_azimuthal=n_phi,
-        rel_change=rel if math.isfinite(rel) else 0.0,
     )
     ints.validate()
     return ints
@@ -235,21 +241,12 @@ def dispersion(omega: float, integrals: OverlapIntegrals, KL):
 # sweeps
 
 
-def coupling_sweep(mode: WgmMode, spacings: Sequence[float], omega: float,
-                   threads: int = 1) -> list:
-    """kappa at each spacing L (um) for one solved disk mode, one
-    CouplingResult per spacing in input order.
-
-    Each spacing gets its own converged overlap quadrature; threads > 1
-    maps the spacings over a thread pool.
-    """
-    def one(L):
-        return coupling_kappa(overlap_integrals(mode, L), omega)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, spacings))
-    return [one(L) for L in spacings]
+def coupling_sweep(mode: WgmMode, spacings: Sequence[float],
+                   omega: float) -> list:
+    """kappa at each spacing L (um) for one solved disk mode: one
+    CouplingResult per spacing, in input order."""
+    return [coupling_kappa(overlap_integrals(mode, L), omega)
+            for L in spacings]
 
 
 def fit_loglinear(spacings: Sequence[float], kappas: Sequence[float]) -> tuple:

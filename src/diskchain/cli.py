@@ -7,8 +7,8 @@ deterministic: same inputs, byte-identical output, and the metadata is
 sufficient to re-run the command.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-failure (a run too large for memory included), 3 reference-table check
-failure.
+failure (a run too large for memory or past the cylinder functions'
+range (0, 1e4] included), 3 reference-table check failure.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from dataclasses import dataclass, field
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
-from .chain import (QuadratureError, coupling_kappa, coupling_sweep,
-                    dispersion, fit_loglinear, overlap_integrals)
+from .chain import (VALIDITY_LIMIT, QuadratureError, ValidityWarning,
+                    coupling_kappa, coupling_sweep, dispersion,
+                    fit_loglinear, overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
 from .core import CONSTANTS, wavelength_to_freq
 from .dynamics import (GateFailure, RegisterState, aux_leakage,
@@ -101,6 +103,17 @@ def _base_metadata(command: str, cfg: SimConfig, args) -> dict:
     }
 
 
+def _note_strained(meta: dict, l_over_r, integrals) -> None:
+    """Name each spacing whose worst overlap ratio passes the limit."""
+    strained = [f"{_fmt(lr)} ({worst:.3f})"
+                for lr, ints in zip(l_over_r, integrals)
+                if (worst := max(ints.ratios().values())) > VALIDITY_LIMIT]
+    if strained:
+        meta["validity_warning"] = (
+            f"overlap ratio exceeds {VALIDITY_LIMIT} at l_over_r "
+            + ", ".join(strained))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -133,7 +146,9 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
                       cfg.wavelength, cfg.disk.refractive_index)
     spacings = cfg.spacings()
     omega = wavelength_to_freq(cfg.wavelength)
-    results = coupling_sweep(mode, spacings, omega, args.threads)
+    with warnings.catch_warnings():   # _note_strained reports them
+        warnings.simplefilter("ignore", ValidityWarning)
+        results = coupling_sweep(mode, spacings, omega)
     rows = []
     for lr, L, res in zip(cfg.l_over_r, spacings, results):
         ratio = abs(res.kappa_ev) / CONSTANTS.zpl_energy
@@ -157,6 +172,7 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
         "quadrature": f"{results[-1].integrals.n_radial} x "
                       f"{results[-1].integrals.n_azimuthal}",
     })
+    _note_strained(meta, cfg.l_over_r, [res.integrals for res in results])
     table = ResultTable(
         columns=["l_over_r", "L_um", "kappa_rad_s", "kappa_ev",
                  "log10_kappa_over_e0"],
@@ -170,7 +186,9 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
                       cfg.wavelength, cfg.disk.refractive_index)
     omega = wavelength_to_freq(cfg.wavelength)
     spacing = cfg.spacings()[0]
-    ints = overlap_integrals(mode, spacing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        ints = overlap_integrals(mode, spacing)
     res = coupling_kappa(ints, omega)
 
     kl = np.linspace(-math.pi, math.pi, 41)
@@ -187,6 +205,7 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
         "kappa_ev": _fmt(res.kappa_ev),
         "band_width_rad_s": _fmt(res.band_width),
     })
+    _note_strained(meta, cfg.l_over_r[:1], [ints])
     table = ResultTable(columns=["KL_rad", "omega_rad_s"], rows=rows,
                         metadata=meta)
     _emit(table, args)
@@ -301,11 +320,10 @@ def _build_parser() -> _Parser:
                         help="write the result table here instead of stdout")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table format (default csv)")
-        sp.add_argument("--tolerance", type=float, default=None,
-                        help="override the relative tolerance of the "
-                             "reference-table comparisons")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for coupling-sweep spacings")
+        if name == "reproduce-tables":
+            sp.add_argument("--tolerance", type=float, default=None,
+                            help="override the relative tolerance of the "
+                                 "reference-table comparisons")
     return parser
 
 
@@ -317,8 +335,6 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("diskchain: a command is required", file=sys.stderr)
             return 1
-        if args.threads < 1:
-            raise _UsageError("--threads must be >= 1")
         cfg = load_config(args.config)
         handler = _COMMANDS[args.command][0]
         return handler(cfg, args)

@@ -49,7 +49,7 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
-_X_MAX = 1.0e4
+X_MAX = 1.0e4
 
 # below this argument the leading ascending terms are exact
 _X_TINY = 2.0 ** -30
@@ -72,9 +72,9 @@ def _args(name: str, m, x, zero_ok: bool):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: argument must be finite")
     low = arr < 0.0 if zero_ok else arr <= 0.0
-    if np.any(low) or np.any(arr > _X_MAX):
+    if np.any(low) or np.any(arr > X_MAX):
         raise ValueError(f"{name}: argument must lie in "
-                         f"{'[' if zero_ok else '('}0, {_X_MAX:g}]")
+                         f"{'[' if zero_ok else '('}0, {X_MAX:g}]")
     return int(m), arr
 
 

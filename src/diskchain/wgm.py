@@ -20,6 +20,8 @@ is the standard high-Q approximation.  The full complex residual is kept
 available as a diagnostic: it is ~1e-13 for well-confined geometries and
 grows toward ~0.2 as k R approaches the turning point m (large R rows of
 the design table), which simply measures how leaky those modes are.
+A solved mode keeps k, n_eff and the geometry, not beta: the axial
+factor is common to every chain overlap integral and cancels.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from typing import Optional
 
 from .core import CONSTANTS
-from .specfun import bessel_j, hankel1
+from .specfun import X_MAX, bessel_j, hankel1
 
 
 class NoSolutionError(RuntimeError):
@@ -69,7 +71,6 @@ class WgmMode:
 
     k: float        # vacuum wavevector, 1/um
     n_eff: float
-    beta: float     # axial wavevector inside the slab, 1/um
     geometry: DiskGeometry
 
     def __post_init__(self):
@@ -78,9 +79,6 @@ class WgmMode:
         nc = self.geometry.refractive_index
         if not (1.0 < self.n_eff < nc):
             raise ValueError(f"n_eff: must lie in (1, n_c), got {self.n_eff}")
-        beta_def = self.k * math.sqrt(nc * nc - self.n_eff * self.n_eff)
-        if abs(self.beta - beta_def) > 1e-9 * max(1.0, beta_def):
-            raise ValueError("beta: inconsistent with k*sqrt(n_c^2 - n_eff^2)")
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +115,15 @@ def _first_zero(m: int) -> float:
 
     The large-order expansion (DLMF 10.21.40) is within 1 % even at
     m = 1; Newton steps with J'_m = J_{m-1} - (m/x) J_m polish it to
-    rounding.
+    rounding.  Past the cylinder functions' range it is returned as it
+    stands, already within 1e-6 there.
     """
     t = m ** (1.0 / 3.0)
     x = (m + 1.8557571 * t + 1.033150 / t - 0.00397 / m
          - 0.0908 / (m * t * t) + 0.043 / (m * m * t))
     for _ in range(8):
+        if x > X_MAX:
+            break
         j = bessel_j(m, x)
         step = j / (bessel_j(m - 1, x) - m / x * j)
         x -= step
@@ -149,8 +150,10 @@ def solve_disk(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
     with r = J_{m+1}/J_m, dr/dx = 1 - (2m + 1) r/x + r^2.
 
     Where Y_m(kR) overflows double precision (m beyond ~2300 at guided
-    radii) the Hankel ratio is not finite and FloatingPointError is
-    raised: the root cannot be decided, which is not "no solution".
+    radii) the Hankel ratio is not finite, and a bracket reaching past
+    the cylinder functions' range (0, 1e4] cannot be searched.  Either
+    way FloatingPointError is raised: the root cannot be decided, which
+    is not "no solution".
     """
     if not (R > 0.0 and lam0 > 0.0):
         raise ValueError("solve_disk: R and lam0 must be > 0")
@@ -167,6 +170,10 @@ def solve_disk(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
     if not lo < hi:
         raise NoSolutionError(
             f"solve_disk: no fundamental-order radial root for m={m}, R={R}")
+    if hi * k * R > X_MAX:
+        raise FloatingPointError(
+            f"solve_disk: the bracket for m={m}, R={R} reaches k n R = "
+            f"{hi * k * R:.6g}, past the cylinder functions' range (0, 1e4]")
     rhs = (hankel1(m + 1, k * R) / hankel1(m, k * R)).real
     if not math.isfinite(rhs):
         raise FloatingPointError(
@@ -206,24 +213,7 @@ def solve_mode(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
                n_c: float = CONSTANTS.diamond_index) -> WgmMode:
     """solve_disk plus packaging into a WgmMode with the solved geometry."""
     n_eff, h = solve_disk(R, m, lam0, n_c)
-    k = 2.0 * math.pi / lam0
     geo = DiskGeometry(radius=R, azimuthal_number=int(m),
                        refractive_index=n_c, thickness=h)
-    beta = k * math.sqrt(n_c * n_c - n_eff * n_eff)
-    return WgmMode(k=k, n_eff=n_eff, beta=beta, geometry=geo)
+    return WgmMode(k=2.0 * math.pi / lam0, n_eff=n_eff, geometry=geo)
 
-
-# ---------------------------------------------------------------------------
-# axial norm
-
-
-def axial_norm_integral(mode: WgmMode) -> float:
-    """Integral of the axial profile squared across the slab interior.
-
-    The overlap integrals are restricted to the disk interiors, so the
-    axial direction contributes int_{-h/2}^{h/2} cos^2(beta z) dz, which
-    is analytic.  It multiplies every transverse integral identically and
-    cancels from all report ratios.
-    """
-    h = mode.geometry.thickness
-    return 0.5 * h + math.sin(mode.beta * h) / (2.0 * mode.beta)

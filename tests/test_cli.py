@@ -42,14 +42,11 @@ def csv_body(text):
     return header, rows
 
 
-def test_disk_solve_deterministic_and_ignores_threads(capsys, small_cfg):
-    # disk-solve is serial; --threads is accepted by every command (the
-    # benchmark passes it to all of them) and changes nothing here
+def test_disk_solve_deterministic(capsys, small_cfg):
     a = run(capsys, ["disk-solve", "--config", small_cfg])
     b = run(capsys, ["disk-solve", "--config", small_cfg])
-    c = run(capsys, ["disk-solve", "--config", small_cfg, "--threads", "2"])
-    assert a[0] == b[0] == c[0] == 0
-    assert a[1] == b[1] == c[1]
+    assert a[0] == b[0] == 0
+    assert a[1] == b[1]
     header, rows = csv_body(a[1])
     assert header == ["m", "R_um", "n_eff", "h_um", "residual", "status"]
     assert len(rows) == 3
@@ -157,9 +154,8 @@ def test_coupling_sweep_csv_and_json_agree(capsys, small_cfg, tmp_path):
     assert [float(v) for v in doc["rows"][0]] == pytest.approx(
         [float(v) for v in rows[0]], rel=1e-12)
 
-    # and thread-count must not change a byte
-    code3, out3, _ = run(capsys, ["coupling-sweep", "--config", small_cfg,
-                                  "--threads", "2"])
+    # and a second run must not change a byte
+    code3, out3, _ = run(capsys, ["coupling-sweep", "--config", small_cfg])
     assert code3 == 0 and out3 == out
 
 
@@ -265,7 +261,6 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, ["frobnicate"])[0] == 1
     code, _, err = run(capsys, [])
     assert code == 1 and "command is required" in err
-    assert run(capsys, ["disk-solve", "--threads", "0"])[0] == 1
     assert run(capsys, ["disk-solve", "--no-such-flag"])[0] == 1
 
     bad = tmp_path / "bad.ini"
@@ -371,6 +366,14 @@ def _one_line_failure(code, out, err):
     # far more records than any memory holds
     pytest.param("gate-sim", "[pulses]\nsamples = 1e15\n",
                  id="samples-1e15"),
+    # cylinder functions past their range (0, 1e4]: j_{20000,1} for the
+    # root bracket, k (L + R) = 11866 for the overlap mesh
+    pytest.param("disk-solve", "[disk]\nsolve_rows = 20000 1000\n",
+                 id="solve_rows-m-20000"),
+    pytest.param("coupling-sweep", "[chain]\nl_over_r = 400\n",
+                 id="l_over_r-400-sweep"),
+    pytest.param("dispersion", "[chain]\nl_over_r = 400\n",
+                 id="l_over_r-400-dispersion"),
 ])
 def test_gate_inputs_config_accepts_fail_in_one_line(capsys, tmp_path,
                                                      command, text):
@@ -381,6 +384,52 @@ def test_gate_inputs_config_accepts_fail_in_one_line(capsys, tmp_path,
         code, out, err = run(capsys, [command, "--config", str(p)])
     _one_line_failure(code, out, err)
     assert code == 2
+    if not text.startswith(("[gate]", "[pulses]")):
+        assert err.startswith("diskchain: numerical failure: ")
+        assert "range (0, 1e4]" in err
+
+
+@st.composite
+def _disks(draw):
+    """(m, radius): k R from 0.3 m, below the oscillatory region, to
+    1.5 m, past the fundamental cutoff, so that every outcome is drawn."""
+    m = draw(st.integers(1, 60))
+    k = 2.0 * math.pi / 0.637
+    return m, draw(st.floats(0.3 * m / k, 1.5 * m / k))
+
+
+@given(disk=_disks(), l_over_r=st.floats(2.0, 12.0))
+@example(disk=(20000, 1000.0), l_over_r=2.01)
+@example(disk=(40, 3.0), l_over_r=400.0)
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chain_commands_property(capsys, tmp_path, disk, l_over_r):
+    m, radius = disk
+    p = tmp_path / "chain.ini"
+    p.write_text(f"[disk]\nradius = {radius!r} um\nazimuthal_number = {m}\n"
+                 f"[chain]\nl_over_r = {l_over_r!r}\n")
+    for command in ("coupling-sweep", "dispersion"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [command, "--config", str(p)])
+        _one_line_failure(code, out, err)
+        # a strained spacing is a metadata line, not a warning
+        assert code or err == ""
+
+
+def test_strained_spacings_go_into_metadata(capsys, tmp_path):
+    p = tmp_path / "wide.ini"
+    p.write_text("[disk]\nradius = 4.0 um\n")
+    for command in ("coupling-sweep", "dispersion"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [command, "--config", str(p)])
+        assert code == 0 and err == ""
+        notes = [l for l in out.splitlines()
+                 if l.startswith("# validity_warning: ")]
+        assert len(notes) == 1
+        assert notes[0].startswith("# validity_warning: overlap ratio exceeds "
+                                   "0.1 at l_over_r 2.01 (")
 
 
 _GATE_VALUE = st.one_of(
@@ -429,6 +478,17 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
         run_cz(states, params)
     assert str(block.value) == str(single.value)
     assert block.value.diagnostics.keys() == single.value.diagnostics.keys()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coupling-sweep", "--threads", "2"],
+    ["gate-sim", "--tolerance", "0.1"],
+])
+def test_each_command_takes_only_its_options(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"diskchain: unrecognized arguments: {' '.join(argv[1:])}"]
 
 
 def test_reproduce_tables_reports_failures(capsys):

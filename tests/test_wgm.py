@@ -125,16 +125,14 @@ def test_geometry_validation():
 
 
 def test_mode_validation():
-    geo = DiskGeometry(radius=2.0, azimuthal_number=40, thickness=0.4)
-    beta = K0 * math.sqrt(NC * NC - 1.5 * 1.5)
+    h = thickness_for_index(K0, 1.5, NC)
+    geo = DiskGeometry(radius=2.0, azimuthal_number=40, thickness=h)
     with pytest.raises(ValueError, match="n_eff"):
-        WgmMode(k=K0, n_eff=2.5, beta=beta, geometry=geo)
-    with pytest.raises(ValueError, match="beta"):
-        WgmMode(k=K0, n_eff=1.5, beta=2.0 * beta, geometry=geo)
+        WgmMode(k=K0, n_eff=2.5, geometry=geo)
     with pytest.raises(ValueError, match="thickness"):
-        WgmMode(k=K0, n_eff=1.5, beta=beta,
+        WgmMode(k=K0, n_eff=1.5,
                 geometry=DiskGeometry(radius=2.0, azimuthal_number=40))
-    WgmMode(k=K0, n_eff=1.5, beta=beta, geometry=geo)
+    WgmMode(k=K0, n_eff=1.5, geometry=geo)
 
 
 def test_solve_mode_packaging():
@@ -142,5 +140,4 @@ def test_solve_mode_packaging():
     geo = mode.geometry
     assert geo.radius == 2.0 and geo.azimuthal_number == 40
     assert geo.thickness is not None and geo.thickness > 0.0
-    n2 = NC * NC - (mode.beta / mode.k) ** 2
-    assert abs(math.sqrt(n2) - mode.n_eff) < 1e-9
+    assert geo.thickness == thickness_for_index(mode.k, mode.n_eff, NC)
