@@ -9,8 +9,8 @@ from .specfun import bessel_j, bessel_y, hankel1
 from .wgm import (DiskGeometry, NoSolutionError, WgmMode, radial_residual,
                   solve_disk, solve_mode, thickness_for_index)
 from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
-                    ValidityWarning, coupling_kappa, coupling_sweep,
-                    dispersion, fit_loglinear, overlap_integrals)
+                    coupling_kappa, coupling_sweep, dispersion,
+                    fit_loglinear, overlap_integrals)
 from .dynamics import (CzResult, DetuningPulse, GateFailure, GateParams,
                        PhaseReport, PulseSchedule, RegisterState,
                        Trajectory, aux_leakage, build_hamiltonian, evolve,

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import functools
 import math
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -43,10 +42,6 @@ VALIDITY_LIMIT = 0.1
 
 class QuadratureError(RuntimeError):
     """Overlap quadrature failed to converge within the resolution cap."""
-
-
-class ValidityWarning(UserWarning):
-    """Tight-binding validity condition (all ratios << 1) is strained."""
 
 
 @dataclass(frozen=True)
@@ -72,17 +67,6 @@ class OverlapIntegrals:
             "beta1/beta0": abs(self.beta1) / self.beta0,
             "delta_alpha/beta0": abs(self.delta_alpha) / self.beta0,
         }
-
-    def validate(self) -> None:
-        if not self.beta0 > 0.0:
-            raise ValueError(f"beta0: must be > 0, got {self.beta0}")
-        worst = max(self.ratios().values())
-        if worst > VALIDITY_LIMIT:
-            warnings.warn(
-                f"tight-binding validity warning: overlap ratio {worst:.3f} "
-                f"exceeds {VALIDITY_LIMIT}, nearest-neighbour perturbation "
-                "theory is unreliable at this spacing", ValidityWarning,
-                stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -202,7 +186,7 @@ def overlap_integrals(mode: WgmMode, L: float, rtol: float = 5e-3,
 
     I00, I01, Ida = cur
     nc2 = geo.refractive_index ** 2
-    ints = OverlapIntegrals(
+    return OverlapIntegrals(
         beta0=nc2 * I00,
         beta1=I01,
         alpha1=nc2 * I01,
@@ -211,8 +195,6 @@ def overlap_integrals(mode: WgmMode, L: float, rtol: float = 5e-3,
         n_radial=n_r,
         n_azimuthal=n_phi,
     )
-    ints.validate()
-    return ints
 
 
 def coupling_kappa(integrals: OverlapIntegrals, omega: float) -> CouplingResult:

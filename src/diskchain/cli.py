@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
 from . import __version__
-from .chain import (VALIDITY_LIMIT, QuadratureError, ValidityWarning,
-                    coupling_kappa, coupling_sweep, dispersion,
-                    fit_loglinear, overlap_integrals)
+from .chain import (VALIDITY_LIMIT, QuadratureError, coupling_kappa,
+                    coupling_sweep, dispersion, fit_loglinear,
+                    overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
 from .core import CONSTANTS, wavelength_to_freq
 from .dynamics import (GateFailure, RegisterState, aux_leakage,
@@ -146,9 +145,7 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
                       cfg.wavelength, cfg.disk.refractive_index)
     spacings = cfg.spacings()
     omega = wavelength_to_freq(cfg.wavelength)
-    with warnings.catch_warnings():   # _note_strained reports them
-        warnings.simplefilter("ignore", ValidityWarning)
-        results = coupling_sweep(mode, spacings, omega)
+    results = coupling_sweep(mode, spacings, omega)
     rows = []
     for lr, L, res in zip(cfg.l_over_r, spacings, results):
         ratio = abs(res.kappa_ev) / CONSTANTS.zpl_energy
@@ -186,9 +183,7 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
                       cfg.wavelength, cfg.disk.refractive_index)
     omega = wavelength_to_freq(cfg.wavelength)
     spacing = cfg.spacings()[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        ints = overlap_integrals(mode, spacing)
+    ints = overlap_integrals(mode, spacing)
     res = coupling_kappa(ints, omega)
 
     kl = np.linspace(-math.pi, math.pi, 41)
@@ -238,7 +233,8 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
         "duration_s": _fmt(sup.schedule.duration),
         "time_unit_s": _fmt(1.0 / scale),
     })
-    phases = [run.phase_report.final[i] for i, run in enumerate(basis_runs)]
+    phases = [float(np.angle(run.final.amplitudes[i]))
+              for i, run in enumerate(basis_runs)]
     lines = []
     for i, (run, phase, dev) in enumerate(
             zip(basis_runs, phases, cz_phase_error(phases))):
@@ -308,6 +304,18 @@ _COMMANDS = {
 }
 
 
+def _tolerance(text: str) -> float:
+    """--tolerance: a relative tolerance, finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diskchain",
                      description="diamond microdisk chain simulator")
@@ -321,7 +329,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table format (default csv)")
         if name == "reproduce-tables":
-            sp.add_argument("--tolerance", type=float, default=None,
+            sp.add_argument("--tolerance", type=_tolerance, default=None,
                             help="override the relative tolerance of the "
                                  "reference-table comparisons")
     return parser

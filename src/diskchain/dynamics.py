@@ -415,14 +415,6 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
 # phase bookkeeping
 
 
-def _fold(phi: float) -> float:
-    """Fold to (-pi, pi]."""
-    out = math.remainder(phi, 2.0 * math.pi)
-    if out <= -math.pi:
-        out += 2.0 * math.pi
-    return out
-
-
 @dataclass(frozen=True)
 class PhaseReport:
     """Co-moving phases along a trajectory.
@@ -431,13 +423,12 @@ class PhaseReport:
     True; where the amplitude sits below the floor the last valid value
     is carried forward (never NaN) and the mask flags the gap.  Phase
     continuity is never assumed across a gap: each contiguous valid run
-    is unwrapped on its own.  final[i] folds the last valid phase of
-    state i into (-pi, pi].
+    is unwrapped on its own.  A run's final phases need none of this:
+    they are the arguments of its final co-moving state (CzResult.final).
     """
 
     phases: np.ndarray
     valid: np.ndarray
-    final: np.ndarray
 
 
 def extract_phases(trajectory: Trajectory,
@@ -458,9 +449,7 @@ def extract_phases(trajectory: Trajectory,
     last = np.maximum.accumulate(
         np.where(valid, np.arange(n)[:, None], -1), axis=0)
     phases = np.where(last >= 0, phases[np.maximum(last, 0), np.arange(8)], 0.0)
-    final = np.array([_fold(float(phases[-1, i])) if last[-1, i] >= 0 else 0.0
-                      for i in range(8)])
-    return PhaseReport(phases=phases, valid=valid, final=final)
+    return PhaseReport(phases=phases, valid=valid)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +471,8 @@ def cz_phase_error(phases) -> list:
 
 @dataclass(frozen=True)
 class CzResult:
-    final: RegisterState
+    final: RegisterState       # co-moving: np.angle gives the final phases
     trajectory: Trajectory
-    phase_report: PhaseReport
     leakage: float             # population outside the qubit space at the end
     schedule: PulseSchedule
 
@@ -501,9 +489,9 @@ def run_cz(initial, params: GateParams = GateParams()):
     the propagation leaves a final state non-finite or off unit norm by
     more than 1e-9, and for the first state whose final leakage out of
     the logical space exceeds params.epsilon.  Phase deviations from
-    the ideal diag(-1,-1,-1,+1) are reported in phase_report (the
-    schedule's calibration keeps them small, but they are diagnostics,
-    not a gate on the run).
+    the ideal diag(-1,-1,-1,+1) are read from np.angle of each final
+    state (the schedule's calibration keeps them small, but they are
+    diagnostics, not a gate on the run).
     """
     single = isinstance(initial, RegisterState)
     states = [s if isinstance(s, RegisterState) else RegisterState(s)
@@ -532,7 +520,6 @@ def run_cz(initial, params: GateParams = GateParams()):
         # fold the co-moving phase into the final amplitudes
         w_final = traj.amplitudes[-1] * np.exp(1j * traj.theta[-1])
 
-        report = extract_phases(traj)
         if leakage > params.epsilon:
             raise GateFailure(
                 f"population left outside the qubit space: {leakage:.3e} > "
@@ -540,12 +527,11 @@ def run_cz(initial, params: GateParams = GateParams()):
                 diagnostics={
                     "leakage": leakage,
                     "populations": np.abs(w_final) ** 2,
-                    "final_phases": report.final,
+                    "final_phases": np.angle(w_final),
                     "epsilon": params.epsilon,
                 })
 
         results.append(CzResult(
             final=RegisterState(w_final / np.linalg.norm(w_final)),
-            trajectory=traj, phase_report=report, leakage=leakage,
-            schedule=schedule))
+            trajectory=traj, leakage=leakage, schedule=schedule))
     return results[0] if single else tuple(results)

@@ -195,7 +195,7 @@ def check_gate(params: GateParams) -> list:
         + [RegisterState.logical_superposition()], params)
     elapsed = time.perf_counter() - t0
 
-    finals = sup_run.phase_report.final[:4]
+    finals = np.angle(sup_run.final.amplitudes[:4])
     devs = cz_phase_error(finals)
     out.append(_res(5, "cz phases (pi, pi, pi, 0)", max(devs) <= 0.05,
                     "[" + ", ".join(f"{v:.4f}" for v in finals) + "] rad",
@@ -371,7 +371,7 @@ def check_scaling(cfg: SimConfig) -> list:
                   GateParams())
     dp = float(np.max(np.abs(np.abs(b.final.amplitudes) ** 2
                              - np.abs(a.final.amplitudes) ** 2)))
-    fa, fb = a.phase_report.final[:4], b.phase_report.final[:4]
+    fa, fb = (np.angle(r.final.amplitudes[:4]) for r in (a, b))
     dphi = max(abs(math.remainder((x - fa[3]) - (y - fb[3]), 2.0 * math.pi))
                for x, y in zip(fa, fb))
     ok = dp < 1e-10 and dphi < 1e-10

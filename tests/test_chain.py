@@ -8,10 +8,10 @@ import pytest
 
 import oracles
 from diskchain import (CONSTANTS, DiskGeometry, GateParams,
-                       OverlapIntegrals, QuadratureError, ValidityWarning,
-                       coupling_kappa, coupling_sweep, dispersion,
-                       fit_loglinear, make_cz_schedule, overlap_integrals,
-                       solve_mode, wavelength_to_freq)
+                       OverlapIntegrals, QuadratureError, coupling_kappa,
+                       coupling_sweep, dispersion, fit_loglinear,
+                       make_cz_schedule, overlap_integrals, solve_mode,
+                       wavelength_to_freq)
 import diskchain.chain as chain_module
 from diskchain.chain import _transverse
 from diskchain.core import HBAR_EV_S
@@ -143,13 +143,16 @@ def test_mirror_identity_for_ida(mode_m40_r2):
 
 
 def test_validity_warning_on_large_ratio():
-    ints = OverlapIntegrals(beta0=1.0, beta1=0.12, alpha1=0.12,
+    # the worst ratio is what the `# validity_warning:` metadata line
+    # compares against VALIDITY_LIMIT
+    ints = OverlapIntegrals(beta0=1.0, beta1=-0.12, alpha1=0.12,
                             delta_alpha=0.05, zeta=0.07)
-    with pytest.warns(ValidityWarning, match="exceeds 0.1"):
-        ints.validate()
+    assert ints.ratios() == {"alpha1/beta0": 0.12, "beta1/beta0": 0.12,
+                             "delta_alpha/beta0": 0.05}
+    assert max(ints.ratios().values()) > chain_module.VALIDITY_LIMIT == 0.1
     with pytest.raises(ValueError, match="beta0"):
-        OverlapIntegrals(beta0=0.0, beta1=0.0, alpha1=0.0,
-                         delta_alpha=0.0, zeta=0.0).validate()
+        coupling_kappa(OverlapIntegrals(beta0=0.0, beta1=0.0, alpha1=0.0,
+                                        delta_alpha=0.0, zeta=0.0), OMEGA)
 
 
 def test_kappa_formula():

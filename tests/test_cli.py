@@ -398,16 +398,24 @@ def _disks(draw):
     return m, draw(st.floats(0.3 * m / k, 1.5 * m / k))
 
 
-@given(disk=_disks(), l_over_r=st.floats(2.0, 12.0))
-@example(disk=(20000, 1000.0), l_over_r=2.01)
-@example(disk=(40, 3.0), l_over_r=400.0)
+# one to four spacings, unsorted, repeats drawn from a short list
+_SPACINGS = st.lists(st.one_of(st.floats(2.0, 12.0),
+                               st.sampled_from([2.01, 2.21, 2.49])),
+                     min_size=1, max_size=4)
+
+
+@given(disk=_disks(), l_over_r=_SPACINGS)
+@example(disk=(20000, 1000.0), l_over_r=[2.01])
+@example(disk=(40, 3.0), l_over_r=[400.0])
+@example(disk=(40, 2.0), l_over_r=[2.21, 2.01, 2.21])
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_chain_commands_property(capsys, tmp_path, disk, l_over_r):
     m, radius = disk
     p = tmp_path / "chain.ini"
     p.write_text(f"[disk]\nradius = {radius!r} um\nazimuthal_number = {m}\n"
-                 f"[chain]\nl_over_r = {l_over_r!r}\n")
+                 "[chain]\nl_over_r = "
+                 + ", ".join(repr(lr) for lr in l_over_r) + "\n")
     for command in ("coupling-sweep", "dispersion"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -441,18 +449,28 @@ _GATE_VALUE = st.one_of(
 @given(values=st.dictionaries(
            st.sampled_from(["g1", "g2", "delta_max", "omega_a0", "d_g",
                             "epsilon"]), _GATE_VALUE),
-       samples=st.integers(2, 50))
-@example(values={"delta_max": 1e300}, samples=50)
-@example(values={"g1": 1.0}, samples=2)
-@example(values={"g2": 1e-300}, samples=2)
+       samples=st.integers(2, 50),
+       guard=st.sampled_from([None, "calibrated", "fixed", "sloppy"]),
+       fixed_gap=st.one_of(st.none(),
+                           st.sampled_from([0.0, -1e-11, math.nan, 1e300]),
+                           st.floats(0.0, 1e-9)))
+@example(values={"delta_max": 1e300}, samples=50, guard=None, fixed_gap=None)
+@example(values={"g1": 1.0}, samples=2, guard=None, fixed_gap=None)
+@example(values={"g2": 1e-300}, samples=2, guard=None, fixed_gap=None)
+@example(values={}, samples=2, guard="fixed", fixed_gap=1e300)
+@example(values={"epsilon": 0.05}, samples=20, guard="fixed", fixed_gap=0.0)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_gate_sim_property(capsys, tmp_path, values, samples):
+def test_gate_sim_property(capsys, tmp_path, values, samples, guard,
+                           fixed_gap):
     p = tmp_path / "gate.ini"
     p.write_text("[gate]\n"
                  + "".join(f"{k} = {v!r}{'' if k == 'epsilon' else ' rad_s'}\n"
                            for k, v in values.items())
-                 + f"[pulses]\nsamples = {samples}\n")
+                 + f"[pulses]\nsamples = {samples}\n"
+                 + (f"guard = {guard}\n" if guard else "")
+                 + (f"fixed_gap = {fixed_gap!r} s\n"
+                    if fixed_gap is not None else ""))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, ["gate-sim", "--config", str(p)])
@@ -489,6 +507,17 @@ def test_each_command_takes_only_its_options(capsys, argv):
     assert code == 1 and out == ""
     assert err.splitlines() == [
         f"diskchain: unrecognized arguments: {' '.join(argv[1:])}"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+def test_reproduce_tables_rejects_a_tolerance_that_is_no_bound(capsys,
+                                                                value):
+    # inf would pass every tolerance check, nan and <= 0 fail them all
+    code, out, err = run(capsys, ["reproduce-tables", f"--tolerance={value}"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"diskchain: argument --tolerance: must be a finite number > 0, "
+        f"got {value!r}"]
 
 
 def test_reproduce_tables_reports_failures(capsys):

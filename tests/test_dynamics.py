@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from diskchain import dynamics
+from diskchain import cli, dynamics
 from diskchain import (DetuningPulse, GateFailure, GateParams,
                        PulseSchedule, RegisterState, aux_leakage,
                        build_hamiltonian, evolve, extract_phases,
@@ -237,7 +237,8 @@ def test_target_pi_window_returns_population():
     # g1^2/delta * T2 ~ 0.03 rad that only the full calibrated sequence
     # cancels
     report = extract_phases(traj)
-    assert fold_dev(report.final[0], math.pi) < 0.05
+    assert report.valid[-1, 0]
+    assert fold_dev(report.phases[-1, 0], math.pi) < 0.05
 
 
 def test_control_half_window_transfers_population():
@@ -245,7 +246,8 @@ def test_control_half_window_transfers_population():
     traj = evolve(RegisterState.basis(0), sched, replace(PARAMS, samples=100))
     assert abs(traj.final[4]) ** 2 > 0.999
     report = extract_phases(traj)
-    assert fold_dev(report.final[4], -math.pi / 2.0) < 0.03
+    assert report.valid[-1, 4]
+    assert fold_dev(report.phases[-1, 4], -math.pi / 2.0) < 0.03
 
 
 def test_parked_leakage_scales_with_detuning():
@@ -269,6 +271,11 @@ def test_run_cz_fails_loudly_when_parking_is_too_shallow():
         run_cz(RegisterState.basis(0), params)
     assert err.value.diagnostics["leakage"] > 0.01
     assert err.value.diagnostics["epsilon"] == pytest.approx(0.01)
+    # the final phases are the arguments of the final co-moving state
+    phases = err.value.diagnostics["final_phases"]
+    assert phases.shape == (8,) and np.all(np.abs(phases) <= math.pi)
+    assert err.value.diagnostics.keys() == {"leakage", "populations",
+                                            "final_phases", "epsilon"}
 
 
 def test_five_state_run_cz_propagates_once(monkeypatch, cz_sup):
@@ -301,9 +308,43 @@ def test_five_state_run_cz_propagates_once(monkeypatch, cz_sup):
     sup = results[-1]
     assert np.max(np.abs(sup.trajectory.amplitudes
                          - cz_sup.trajectory.amplitudes)) < 1e-13
-    assert np.max(np.abs(sup.phase_report.final
-                         - cz_sup.phase_report.final)) < 1e-12
+    assert np.max(np.abs(sup.final.amplitudes
+                         - cz_sup.final.amplitudes)) < 1e-13
     assert sup.leakage == pytest.approx(cz_sup.leakage, abs=1e-13)
+
+
+def test_gate_run_extracts_phases_once(monkeypatch, tmp_path, capsys):
+    # run_cz reads its final phases from the final states; only the
+    # printed superposition trajectory goes through extract_phases
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return extract_phases(*args, **kwargs)
+
+    for module in (dynamics, cli):
+        monkeypatch.setattr(module, "extract_phases", counting)
+    run_cz(GATE_STATES, PARAMS)
+    assert len(calls) == 0
+    assert cli.main(["gate-sim", "--out", str(tmp_path / "traj.csv")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+def test_final_phases_match_folded_ref(params):
+    # np.angle of the co-moving final state against the oracle's last
+    # unwrapped phase folded into (-pi, pi], wherever the final amplitude
+    # carries a phase; epsilon is opened so no schedule is refused
+    runs = run_cz(GATE_STATES, replace(params, epsilon=1.0))
+    for run in runs:
+        traj = run.trajectory
+        _, valid, final = oracles.extract_phases_ref(
+            traj.amplitudes, traj.theta, 1e-6)
+        got = np.angle(run.final.amplitudes)
+        assert valid[-1].any()
+        for i in np.nonzero(valid[-1])[0]:
+            assert fold_dev(got[i], final[i]) <= 1e-12
 
 
 def test_block_run_cz_raises_for_first_leaking_state():
@@ -327,10 +368,9 @@ def test_block_run_cz_raises_for_first_leaking_state():
 
 def assert_phases_match_ref(traj, floor=1e-6):
     got = extract_phases(traj, floor=floor)
-    phases, valid, final = oracles.extract_phases_ref(
+    phases, valid, _ = oracles.extract_phases_ref(
         traj.amplitudes, traj.theta, floor)
-    for mine, ref in ((got.phases, phases), (got.valid, valid),
-                      (got.final, final)):
+    for mine, ref in ((got.phases, phases), (got.valid, valid)):
         assert mine.dtype == ref.dtype and mine.shape == ref.shape
         assert mine.tobytes() == ref.tobytes()
 
@@ -396,7 +436,7 @@ def test_register_state_validation():
 
 
 def test_gate_truth_table(cz_sup):
-    final = cz_sup.phase_report.final[:4]
+    final = np.angle(cz_sup.final.amplitudes[:4])
     for phase, target in zip(final, (math.pi, math.pi, math.pi, 0.0)):
         assert fold_dev(phase, target) < 0.05
     assert cz_sup.leakage < 0.01
@@ -433,7 +473,7 @@ def test_dark_state_untouched(cz_sup):
     assert np.max(np.abs(pop - 0.25)) < 1e-12
     # its accumulated diagonal phase is exactly zero by the frame choice
     assert np.all(traj.theta[:, DARK_INDEX] == 0.0)
-    report = cz_sup.phase_report
+    report = extract_phases(traj)
     assert np.max(np.abs(report.phases[:, DARK_INDEX])) < 1e-6
 
 
@@ -471,7 +511,7 @@ def test_phase_gaps_are_flagged_not_nan(cz_sup):
     assert np.all(np.isfinite(report.phases))
     assert not report.valid[:, 1].all()
     assert report.valid[-1, 1]
-    assert fold_dev(report.final[1], math.pi) < 0.05
+    assert fold_dev(report.phases[-1, 1], math.pi) < 0.05
 
 
 def test_never_populated_track_reports_zero():
@@ -480,7 +520,6 @@ def test_never_populated_track_reports_zero():
     report = extract_phases(traj)
     # |g1 +2> never acquires amplitude from |g1 g2>
     assert not report.valid[:, 1].any()
-    assert report.final[1] == 0.0
     assert np.all(report.phases[:, 1] == 0.0)
 
 
