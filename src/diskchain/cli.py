@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
+import itertools
 import json
 import math
 import sys
@@ -62,23 +63,53 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_FLOAT_ONLY = {float}
+
+
+def _float_rows(table: ResultTable) -> tuple:
+    """(template, floats): the '%.12g' row template, which formats a row
+    to the digits _fmt gives, and per row whether it applies: one float
+    per column.  Blanks, strings and ints (str(10**13), not '1e+13') go
+    through _fmt instead."""
+    width = len(table.columns)
+    rows = table.rows
+    # one type check over the whole table; row by row only if it fails
+    cells = itertools.chain.from_iterable(rows)
+    every = (width > 0 and set(map(len, rows)) <= {width}
+             and set(map(type, cells)) <= _FLOAT_ONLY)
+    floats = [every or (len(row) == width
+                        and set(map(type, row)) == _FLOAT_ONLY)
+              for row in rows]
+    return ",".join(["%.12g"] * width), floats
+
+
 def _write_table(table: ResultTable, stream, fmt: str) -> None:
+    template, floats = _float_rows(table)
     if fmt == "csv":
-        for key, value in table.metadata.items():
-            stream.write(f"# {key}: {value}\n")
-        stream.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+        # the whole text is one '%' operation and one write
+        head = "".join(f"# {key}: {value}\n"
+                       for key, value in table.metadata.items())
+        pieces, cells = ["%s"], [head + ",".join(table.columns)]
+        for row, only in zip(table.rows, floats):
+            if only:
+                pieces.append(template)
+                cells.extend(row)
+            else:
+                pieces.append("%s")
+                cells.append(",".join(map(_fmt, row)))
+        pieces.append("")
+        stream.write("\n".join(pieces) % tuple(cells))
     else:
         doc = {
             "metadata": {k: (_fmt(v) if isinstance(v, float) else v)
                          for k, v in table.metadata.items()},
             "columns": table.columns,
-            "rows": [[(_fmt(v) if isinstance(v, float) else v) for v in row]
-                     for row in table.rows],
+            "rows": [(template % tuple(row)).split(",") if only
+                     else [(_fmt(v) if isinstance(v, float) else v)
+                           for v in row]
+                     for row, only in zip(table.rows, floats)],
         }
-        json.dump(doc, stream, sort_keys=True, indent=1)
-        stream.write("\n")
+        stream.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _emit(table: ResultTable, args) -> None:

@@ -58,6 +58,12 @@ _COUPLING_PAIRS = ((0, 4, 1), (1, 6, 1), (0, 5, 2), (2, 7, 2))
 
 _PHASE_FLOOR = 1e-6
 
+# A pulse edge near t = pi/g is held to float resolution, about t * 2**-52,
+# which moves the parked phase delta_max * t by (delta_max/g) * pi * 2**-52
+# rad.  The schedule aligns that phase to whole turns, so past
+# delta_max/g = 2**52 it is not known to half a turn.
+_MAX_PARKING = 2.0 ** 52
+
 
 class GateFailure(RuntimeError):
     """Gate run with no valid result: no pulse schedule, a non-finite or
@@ -103,8 +109,10 @@ class GateParams:
                 f"omega_a0: must be > 0 and finite, got {self.omega_a0}")
         if not math.isfinite(self.D_g):
             raise ValueError(f"D_g: must be finite, got {self.D_g}")
-        if not math.isfinite(self.delta_max):
-            raise ValueError(f"delta_max: must be finite, got {self.delta_max}")
+        # > 0 keeps omega_w = omega_a0 + delta_max > 0 for the checks below
+        if not 0.0 < self.delta_max < math.inf:
+            raise ValueError(
+                f"delta_max: must be > 0 and finite, got {self.delta_max}")
         for name in ("g1", "g2"):
             g = getattr(self, name)
             if not 0.0 < g < math.inf:
@@ -117,6 +125,10 @@ class GateParams:
                 raise ValueError(
                     f"delta_max: dispersive parking needs delta_max/{name} "
                     f">= 10, got {self.delta_max / g:.2f}")
+            if not self.delta_max / g < _MAX_PARKING:
+                raise ValueError(
+                    f"{name}: float time resolution needs delta_max/{name} "
+                    f"< 2**52, got {self.delta_max / g:.2e}")
 
     @property
     def T1(self) -> float:
@@ -442,9 +454,14 @@ def extract_phases(trajectory: Trajectory,
     step = np.diff(valid.T.astype(np.int8), axis=1, prepend=0, append=0)
     cols, starts = np.nonzero(step == 1)
     stops = np.nonzero(step == -1)[1]
+    # columns whose runs share [start, stop) are unwrapped in one call: down
+    # axis 0 each column takes the same operations as alone, bit for bit
+    runs = {}
+    for i, j, k in zip(cols.tolist(), starts.tolist(), stops.tolist()):
+        runs.setdefault((j, k), []).append(i)
     phases = np.zeros((n, 8))
-    for i, j, k in zip(cols, starts, stops):
-        phases[j:k, i] = np.unwrap(angle[j:k, i])
+    for (j, k), idx in runs.items():
+        phases[j:k, idx] = np.unwrap(angle[j:k, idx], axis=0)
     # a gap carries the last valid phase forward (0 before the first run)
     last = np.maximum.accumulate(
         np.where(valid, np.arange(n)[:, None], -1), axis=0)

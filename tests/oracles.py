@@ -7,9 +7,11 @@ plain bisection in the axial wavevector (a different variable and a
 different misfit function than the production solver uses), the
 time evolution oracle is scipy's expm, and the overlap quadrature is
 the plain full-mesh rule on scipy's cylinder functions.  Slow is fine,
-these run on a handful of points.
+these run on a handful of points.  The table writer is the plain
+cell-by-cell loop with one write per line.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -200,3 +202,34 @@ def transverse_ref(mode, L: float, n_r: int, n_phi: int,
     return (math.fsum((W * E0 * E0).ravel()),
             math.fsum((W * E0 * E1.real).ravel()),
             math.fsum((W * np.abs(E0n) ** 2).ravel()))
+
+
+def _fmt_ref(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def write_table_ref(table, stream, fmt: str) -> None:
+    """A result table (columns, rows, metadata) as CSV or JSON, one cell
+    and one line at a time: a float to 12 significant digits, None as a
+    blank (JSON null), anything else by str (JSON keeps it as is)."""
+    if fmt == "csv":
+        for key, value in table.metadata.items():
+            stream.write(f"# {key}: {value}\n")
+        stream.write(",".join(table.columns) + "\n")
+        for row in table.rows:
+            stream.write(",".join(_fmt_ref(v) for v in row) + "\n")
+    else:
+        doc = {
+            "metadata": {k: (_fmt_ref(v) if isinstance(v, float) else v)
+                         for k, v in table.metadata.items()},
+            "columns": table.columns,
+            "rows": [[(_fmt_ref(v) if isinstance(v, float) else v)
+                      for v in row]
+                     for row in table.rows],
+        }
+        json.dump(doc, stream, sort_keys=True, indent=1)
+        stream.write("\n")

@@ -1,5 +1,6 @@
 """Command-line interface, driven in process through main(argv)."""
 
+import io
 import json
 import math
 import warnings
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from diskchain import GateFailure, RegisterState, load_config, run_cz
-from diskchain.cli import main
+import oracles
+from diskchain import GateFailure, RegisterState, cli, load_config, run_cz
+from diskchain.cli import ResultTable, main
 
 SMALL_DISK = """
 [disk]
@@ -352,17 +354,11 @@ def _one_line_failure(code, out, err):
 
 
 @pytest.mark.parametrize("command, text", [
-    # exp(-i H tau) overflows in its squarings
-    pytest.param("gate-sim", "[gate]\ndelta_max = 1e300 rad_s\n",
-                 id="delta_max-1e300"),
-    pytest.param("reproduce-tables", "[gate]\ndelta_max = 1e300 rad_s\n",
-                 id="delta_max-1e300-tables"),
     # the qubit-2 window rounds off its nominal width at t ~ 1e-9 * T1
     pytest.param("gate-sim", "[gate]\ng1 = 1 rad_s\n", id="g1-1"),
-    # the pi window vanishes into t_on at t ~ 1e30 s
-    pytest.param("gate-sim", "[gate]\ng1 = 1e-30 rad_s\n", id="g1-1e-30"),
-    # the calibrated pad is a ceil of infinity
-    pytest.param("gate-sim", "[gate]\ng2 = 1e-300 rad_s\n", id="g2-1e-300"),
+    # a record step of 2.7e4 parked radians: exp(-i H tau), squared back
+    # from that norm, moves a final state norm past 1e-9
+    pytest.param("gate-sim", "[gate]\ng1 = 1e5 rad_s\n", id="g1-1e5"),
     # far more records than any memory holds
     pytest.param("gate-sim", "[pulses]\nsamples = 1e15\n",
                  id="samples-1e15"),
@@ -387,6 +383,28 @@ def test_gate_inputs_config_accepts_fail_in_one_line(capsys, tmp_path,
     if not text.startswith(("[gate]", "[pulses]")):
         assert err.startswith("diskchain: numerical failure: ")
         assert "range (0, 1e4]" in err
+
+
+@pytest.mark.parametrize("command, text, key, ratio", [
+    # the pi window would vanish into t_on at t ~ 1e30 s
+    pytest.param("gate-sim", "g1 = 1e-30", "g1", "1.00e+42", id="g1-1e-30"),
+    # the calibrated pad would be a ceil of infinity
+    pytest.param("gate-sim", "g2 = 1e-300", "g2", "inf", id="g2-1e-300"),
+    # exp(-i H tau) would overflow in its squarings
+    pytest.param("gate-sim", "delta_max = 1e300", "g1", "1.00e+290",
+                 id="delta_max-1e300"),
+    pytest.param("reproduce-tables", "delta_max = 1e300", "g1", "1.00e+290",
+                 id="delta_max-1e300-tables"),
+])
+def test_parking_past_float_time_resolution_is_a_config_error(
+        capsys, tmp_path, command, text, key, ratio):
+    p = tmp_path / "gate.ini"
+    p.write_text(f"[gate]\n{text} rad_s\n")
+    code, _, err = run(capsys, [command, "--config", str(p)])
+    assert code == 1
+    assert err.splitlines() == [
+        f"diskchain: configuration error: [gate] {key}: float time "
+        f"resolution needs delta_max/{key} < 2**52, got {ratio}"]
 
 
 @st.composite
@@ -457,6 +475,8 @@ _GATE_VALUE = st.one_of(
 @example(values={"delta_max": 1e300}, samples=50, guard=None, fixed_gap=None)
 @example(values={"g1": 1.0}, samples=2, guard=None, fixed_gap=None)
 @example(values={"g2": 1e-300}, samples=2, guard=None, fixed_gap=None)
+@example(values={"omega_a0": 1e300, "delta_max": -1e300}, samples=2,
+         guard=None, fixed_gap=None)
 @example(values={}, samples=2, guard="fixed", fixed_gap=1e300)
 @example(values={"epsilon": 0.05}, samples=20, guard="fixed", fixed_gap=0.0)
 @settings(max_examples=60, deadline=None,
@@ -530,3 +550,82 @@ def test_reproduce_tables_reports_failures(capsys):
     assert any(l.startswith("PASS ") for l in lines)
     summary = lines[-1]
     assert summary.endswith("checks passed")
+
+
+# ---------------------------------------------------------------------------
+# the table writer against the cell-by-cell reference
+
+
+_CELL = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf,
+                     math.nan, 10 ** 13, -(10 ** 13), 0, True, None, "",
+                     "no solution", "a,b"]),
+    st.floats(), st.floats().map(np.float64), st.integers(), st.none(),
+    st.text(max_size=6))
+
+
+@st.composite
+def _tables(draw):
+    """Tables whose rows are all floats or mix every kind of cell, one
+    cell per column or ragged."""
+    width = draw(st.integers(0, 5))
+    float_row = st.lists(st.floats(), min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(
+        float_row, st.lists(_CELL, min_size=width, max_size=width),
+        st.lists(st.floats(), max_size=6), st.lists(_CELL, max_size=6)),
+        max_size=8))
+    meta = draw(st.dictionaries(st.text("abc_", min_size=1, max_size=4),
+                                _CELL, max_size=3))
+    return ResultTable(columns=[f"c{i}" for i in range(width)], rows=rows,
+                       metadata=meta)
+
+
+def _both_writers(table, fmt):
+    mine, ref = io.StringIO(), io.StringIO()
+    cli._write_table(table, mine, fmt)
+    oracles.write_table_ref(table, ref, fmt)
+    return mine.getvalue(), ref.getvalue()
+
+
+@given(table=_tables())
+@example(table=ResultTable(
+    columns=["a", "b", "c", "d"],
+    rows=[[-0.0, 5e-324, 1e308, math.inf], [math.nan, 10 ** 13, None, "x"],
+          [1.0, 2, "3", None], [], [0.1, 0.2, 0.3, -math.inf]],
+    metadata={"n": 3, "x": 0.1, "none": None}))
+@settings(max_examples=200, deadline=None)
+def test_table_writer_matches_cell_by_cell_ref(table):
+    for fmt in ("csv", "json"):
+        mine, ref = _both_writers(table, fmt)
+        assert mine == ref
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(None, id="defaults"),
+    # the fixed-gap schedule leaves a blank phase cell (see above)
+    pytest.param("[gate]\nepsilon = 0.05\n[pulses]\nguard = fixed\n",
+                 id="fixed-blank-cell"),
+])
+def test_gate_sim_table_matches_cell_by_cell_ref(capsys, monkeypatch,
+                                                 tmp_path, text):
+    tables = []
+    write = cli._write_table
+
+    def keep(table, stream, fmt):
+        tables.append(table)
+        write(table, stream, fmt)
+
+    monkeypatch.setattr(cli, "_write_table", keep)
+    argv = ["gate-sim"]
+    if text:
+        p = tmp_path / "gate.ini"
+        p.write_text(text)
+        argv += ["--config", str(p)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    (table,) = tables
+    assert len(table.rows) == 1201
+    assert any(None in row for row in table.rows) == bool(text)
+    assert out == _both_writers(table, "csv")[1]
+    mine, ref = _both_writers(table, "json")
+    assert mine == ref

@@ -52,6 +52,28 @@ def test_nv_params_validation():
         GateParams(g1=1e9, delta_max=5e10)
     with pytest.raises(ValueError, match="omega_a0"):
         GateParams(omega_a0=-1.0)
+    # omega_w = omega_a0 + delta_max would be 0 and divide the checks below
+    with pytest.raises(ValueError, match="delta_max: must be > 0 and finite"):
+        GateParams(omega_a0=1e300, delta_max=-1e300)
+    with pytest.raises(ValueError, match=r"g1: float time resolution needs "
+                                         r"delta_max/g1 < 2\*\*52"):
+        GateParams(g1=1e-30)
+    with pytest.raises(ValueError, match=r"g2: float time resolution needs "
+                                         r"delta_max/g2 < 2\*\*52, got inf"):
+        GateParams(g2=1e-300)
+
+
+def test_parking_bound_admits_the_working_points():
+    # the default gate, the benchmark's gate points (delta_max/g1 from 100
+    # to 400, g2 from 0.8 to 0.95 g1) and a ratio just inside 2**52
+    GateParams()
+    for g1 in (5e9, 2e10):
+        for ratio in (100.0, 400.0):
+            for share in (0.8, 0.95):
+                GateParams(g1=g1, g2=share * g1, delta_max=ratio * g1)
+    GateParams(g1=1e12 / (0.99 * 2.0 ** 52))
+    with pytest.raises(ValueError, match="g1: float time resolution"):
+        GateParams(g1=1e12 / 2.0 ** 52)
 
 
 def test_gate_params():
@@ -411,6 +433,36 @@ def test_phases_match_ref_across_gaps():
                                amplitudes=amps, theta=theta)
     assert_phases_match_ref(traj)
     assert not extract_phases(traj).valid[:, 3].any()
+
+
+def test_columns_sharing_a_run_are_unwrapped_together(monkeypatch):
+    # columns 0 and 1 share the gapped runs [4, 17) and [25, 50), column 2
+    # has its own run [0, 31), 3 is never valid and 4-7 are always valid:
+    # one unwrap per distinct run, four in all, and the same bits as the
+    # column-by-column walk
+    n = 50
+    rng = np.random.default_rng(11)
+    valid = np.ones((n, 8), dtype=bool)
+    valid[:4, :2] = valid[17:25, :2] = False
+    valid[31:, 2] = False
+    valid[:, 3] = False
+    winding = np.cumsum(rng.uniform(1.0, 3.0, size=(n, 8)), axis=0)
+    amps = np.where(valid, 1.0, 1e-9) * np.exp(1j * winding)
+    theta = rng.uniform(-5.0, 5.0, size=(n, 8))
+    traj = dynamics.Trajectory(times=np.arange(n, dtype=float),
+                               amplitudes=amps, theta=theta)
+    assert_phases_match_ref(traj)
+
+    calls = []
+    unwrap = np.unwrap
+
+    def counting(p, *args, **kwargs):
+        calls.append(p.shape)
+        return unwrap(p, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unwrap", counting)
+    extract_phases(traj)
+    assert sorted(calls) == [(13, 2), (25, 2), (31, 1), (50, 4)]
 
 
 # ---------------------------------------------------------------------------
