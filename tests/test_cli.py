@@ -353,26 +353,29 @@ def _one_line_failure(code, out, err):
         assert len(lines) == 1 and lines[0].startswith("diskchain: ")
 
 
-@pytest.mark.parametrize("command, text", [
+@pytest.mark.parametrize("command, text, cause", [
     # the qubit-2 window rounds off its nominal width at t ~ 1e-9 * T1
-    pytest.param("gate-sim", "[gate]\ng1 = 1 rad_s\n", id="g1-1"),
+    pytest.param("gate-sim", "[gate]\ng1 = 1 rad_s\n",
+                 "no valid pulse schedule: qubit-2 window", id="g1-1"),
     # a record step of 2.7e4 parked radians: exp(-i H tau), squared back
     # from that norm, moves a final state norm past 1e-9
-    pytest.param("gate-sim", "[gate]\ng1 = 1e5 rad_s\n", id="g1-1e5"),
+    pytest.param("gate-sim", "[gate]\ng1 = 1e5 rad_s\n",
+                 "propagation lost the state norm or overflowed",
+                 id="g1-1e5"),
     # far more records than any memory holds
-    pytest.param("gate-sim", "[pulses]\nsamples = 1e15\n",
+    pytest.param("gate-sim", "[pulses]\nsamples = 1e15\n", "",
                  id="samples-1e15"),
     # cylinder functions past their range (0, 1e4]: j_{20000,1} for the
     # root bracket, k (L + R) = 11866 for the overlap mesh
-    pytest.param("disk-solve", "[disk]\nsolve_rows = 20000 1000\n",
+    pytest.param("disk-solve", "[disk]\nsolve_rows = 20000 1000\n", "",
                  id="solve_rows-m-20000"),
-    pytest.param("coupling-sweep", "[chain]\nl_over_r = 400\n",
+    pytest.param("coupling-sweep", "[chain]\nl_over_r = 400\n", "",
                  id="l_over_r-400-sweep"),
-    pytest.param("dispersion", "[chain]\nl_over_r = 400\n",
+    pytest.param("dispersion", "[chain]\nl_over_r = 400\n", "",
                  id="l_over_r-400-dispersion"),
 ])
 def test_gate_inputs_config_accepts_fail_in_one_line(capsys, tmp_path,
-                                                     command, text):
+                                                     command, text, cause):
     p = tmp_path / "gate.ini"
     p.write_text(text)
     with warnings.catch_warnings():
@@ -380,8 +383,8 @@ def test_gate_inputs_config_accepts_fail_in_one_line(capsys, tmp_path,
         code, out, err = run(capsys, [command, "--config", str(p)])
     _one_line_failure(code, out, err)
     assert code == 2
+    assert err.startswith(f"diskchain: numerical failure: {cause}")
     if not text.startswith(("[gate]", "[pulses]")):
-        assert err.startswith("diskchain: numerical failure: ")
         assert "range (0, 1e4]" in err
 
 
