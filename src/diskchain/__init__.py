@@ -12,9 +12,8 @@ from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
                     coupling_kappa, coupling_sweep, dispersion,
                     fit_loglinear, overlap_integrals)
 from .dynamics import (CzResult, DetuningPulse, GateFailure, GateParams,
-                       PhaseReport, PulseSchedule, RegisterState,
-                       Trajectory, aux_leakage, build_hamiltonian, evolve,
-                       extract_phases, logical_populations, make_cz_schedule,
-                       run_cz)
+                       PulseSchedule, RegisterState, Trajectory, aux_leakage,
+                       build_hamiltonian, evolve, extract_phases,
+                       logical_populations, make_cz_schedule, run_cz)
 from .config import ConfigError, SimConfig, default_config, load_config
 from .verify import CheckResult, run_all

@@ -228,14 +228,14 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
         + [RegisterState.logical_superposition()], params)
 
     traj = sup.trajectory
-    report = extract_phases(traj)
+    tracks, valid = extract_phases(traj)
     pops = logical_populations(traj.amplitudes)
     aux = aux_leakage(traj.amplitudes)
     scale = params.omega_a0
 
     rows = np.column_stack(
-        (traj.times * scale, pops, aux, report.phases[:, :4])).tolist()
-    for n, i in zip(*np.nonzero(~report.valid[:, :4])):
+        (traj.times * scale, pops, aux, tracks[:, :4])).tolist()
+    for n, i in zip(*np.nonzero(~valid[:, :4])):
         rows[n][6 + i] = None
 
     meta = _base_metadata("gate-sim", cfg, args)
@@ -247,12 +247,12 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
         "duration_s": _fmt(sup.schedule.duration),
         "time_unit_s": _fmt(1.0 / scale),
     })
-    phases = [float(np.angle(run.final.amplitudes[i]))
+    phases = [float(np.angle(run.final[i]))
               for i, run in enumerate(basis_runs)]
     lines = []
     for i, (run, phase, dev) in enumerate(
             zip(basis_runs, phases, cz_phase_error(phases))):
-        ret = float(np.abs(run.final.amplitudes[i]) ** 2)
+        ret = float(np.abs(run.final[i]) ** 2)
         meta[f"truth_state_{i}"] = (
             f"phase={phase:.6f} rad, dev={dev:.2e} rad, "
             f"return={ret:.6f}, leakage={run.leakage:.3e}")

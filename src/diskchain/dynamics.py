@@ -23,12 +23,13 @@ the (time-dependent) optical detunings delta_k(t) = omega_w -
 omega_{a,k}(t); a Stark pulse on qubit k sets delta_k = 0 inside its
 window and leaves it parked at delta_k(0) outside.
 
-Reported phases add back the accumulated diagonal phase Theta_i(t) =
-integral of H_ii, i.e. they are quoted in the frame where an uncoupled
-state holds still.  That convention makes the dark state's phase exactly
-flat and cancels D_k from every number in the phase report (the pair
-(1,6) shares D_2, the pair (2,7) shares D_1, so only the optical
-detuning survives in any splitting that matters).
+evolve records every amplitude times exp(i Theta_i(t)), Theta_i(t) =
+integral of H_ii, i.e. in the co-moving frame where an uncoupled state
+holds still, so every phase downstream is a plain np.angle.  That
+convention makes the dark state's phase exactly flat and cancels D_k
+from every reported phase (the pair (1,6) shares D_2, the pair (2,7)
+shares D_1, so only the optical detuning survives in any splitting that
+matters).
 
 Gate sequence
 -------------
@@ -68,10 +69,6 @@ _MAX_PARKING = 2.0 ** 52
 class GateFailure(RuntimeError):
     """Gate run with no valid result: no pulse schedule, a non-finite or
     non-unitary propagation, or leakage above epsilon."""
-
-    def __init__(self, message: str, diagnostics: Optional[dict] = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +317,7 @@ def build_hamiltonian(t: float, params: GateParams,
     d = params.D_g
     h = np.zeros((8, 8), dtype=complex)
     # energy zero at the dark state: a diagonal shift is one more global
-    # phase (the co-moving report cancels it exactly), and it makes the
+    # phase (the co-moving frame cancels it exactly), and it makes the
     # dark row and column vanish identically, so every segment propagator
     # holds that amplitude bit for bit instead of letting per-record
     # modulus rounding pile up
@@ -357,13 +354,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded evolution: times (s), rotating-frame amplitudes, and the
-    accumulated diagonal phase theta_i(t) that converts an amplitude's
-    argument into the reported (co-moving) phase."""
+    """Recorded evolution: times (s) and co-moving amplitudes."""
 
     times: np.ndarray          # (n,)
     amplitudes: np.ndarray     # (n, 8), or (n, k, 8) for a block; complex
-    theta: np.ndarray          # (n, 8) float
 
     @property
     def final(self) -> np.ndarray:
@@ -378,11 +372,13 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
     equal record intervals tau, and the state advanced once per record by
     U = exp(-i H tau).  The trajectory holds the start state and every
     record; the last record of a segment falls exactly on its end, so
-    params.samples gives about samples + 1 rows.
+    params.samples gives about samples + 1 rows.  Each record is stored
+    times exp(i theta), theta the integral of the diagonal of H up to its
+    time: the co-moving amplitude, whose np.angle is the reported phase.
 
     `state` is one state (a RegisterState or 8 amplitudes), giving (n, 8)
     amplitudes, or a (k, 8) block of states advanced together by each
-    segment's one U, giving (n, k, 8); times and theta are shared.
+    segment's one U, giving (n, k, 8); times are shared.
     """
     c0 = (state.amplitudes if isinstance(state, RegisterState)
           else np.asarray(state, dtype=complex))
@@ -418,36 +414,31 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
         thetas.append(theta + np.outer(t - a, diag))
         theta = theta + diag * dur
 
+    # into the co-moving frame in place: (n, 1, 8, 1) against the
+    # (n, k, 8, 1) records, the same product per element for every state
+    amps = np.concatenate(amps)
+    amps *= np.exp(1j * np.concatenate(thetas))[:, None, :, None]
     return Trajectory(times=np.concatenate(ts),
-                      amplitudes=np.concatenate(amps).reshape((-1,) + c0.shape),
-                      theta=np.concatenate(thetas))
+                      amplitudes=amps.reshape((-1,) + c0.shape))
 
 
 # ---------------------------------------------------------------------------
 # phase bookkeeping
 
 
-@dataclass(frozen=True)
-class PhaseReport:
-    """Co-moving phases along a trajectory.
+def extract_phases(trajectory: Trajectory) -> tuple:
+    """(phases, valid), both (n, 8), along a single-state trajectory.
 
     phases[n, i] is the unwrapped phase of state i where valid[n, i] is
-    True; where the amplitude sits below the floor the last valid value
+    True; where the amplitude sits below _PHASE_FLOOR the last valid value
     is carried forward (never NaN) and the mask flags the gap.  Phase
     continuity is never assumed across a gap: each contiguous valid run
     is unwrapped on its own.  A run's final phases need none of this:
-    they are the arguments of its final co-moving state (CzResult.final).
+    they are np.angle(CzResult.final).
     """
-
-    phases: np.ndarray
-    valid: np.ndarray
-
-
-def extract_phases(trajectory: Trajectory,
-                   floor: float = _PHASE_FLOOR) -> PhaseReport:
     amps = trajectory.amplitudes
-    angle = np.angle(amps * np.exp(1j * trajectory.theta))
-    valid = np.abs(amps) >= floor
+    angle = np.angle(amps)
+    valid = np.abs(amps) >= _PHASE_FLOOR
     n = amps.shape[0]
     # each contiguous valid run [start, stop) of a column is unwrapped on
     # its own; nonzero lists starts and stops in the same (column, row) order
@@ -466,7 +457,7 @@ def extract_phases(trajectory: Trajectory,
     last = np.maximum.accumulate(
         np.where(valid, np.arange(n)[:, None], -1), axis=0)
     phases = np.where(last >= 0, phases[np.maximum(last, 0), np.arange(8)], 0.0)
-    return PhaseReport(phases=phases, valid=valid)
+    return phases, valid
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +479,8 @@ def cz_phase_error(phases) -> list:
 
 @dataclass(frozen=True)
 class CzResult:
-    final: RegisterState       # co-moving: np.angle gives the final phases
+    final: np.ndarray          # (8,) co-moving, normalised; np.angle of it
+                               # gives the final phases
     trajectory: Trajectory
     leakage: float             # population outside the qubit space at the end
     schedule: PulseSchedule
@@ -500,7 +492,7 @@ def run_cz(initial, params: GateParams = GateParams()):
     `initial` is one RegisterState, giving one CzResult, or a sequence of
     states (RegisterStates or 8 amplitudes each), propagated as one block
     and giving a tuple of CzResults in the same order; each result's
-    trajectory is an (n, 8) view of the block and shares its theta.
+    trajectory is an (n, 8) view of the block.
 
     Raises GateFailure when params admit no valid pulse schedule, when
     the propagation leaves a final state non-finite or off unit norm by
@@ -518,37 +510,27 @@ def run_cz(initial, params: GateParams = GateParams()):
         schedule.validate_against(params)
     except (ValueError, OverflowError) as exc:
         raise GateFailure(f"no valid pulse schedule: {exc}") from exc
-    # a step propagator squared back from a huge norm over- or underflows;
-    # either way some final norm leaves 1 (NaN fails the test too)
+    # a step propagator squared back from a huge norm over- or underflows,
+    # and a non-finite theta turns the amplitudes to NaN; either way some
+    # final norm leaves 1 (NaN fails the test too)
     with np.errstate(all="ignore"):
         block = evolve(np.array([s.amplitudes for s in states]), schedule,
                        params)
         drift = np.abs(np.linalg.norm(block.amplitudes[-1], axis=-1) - 1.0)
-    if not (np.all(drift <= 1e-9) and np.isfinite(block.theta[-1]).all()):
+    if not np.all(drift <= 1e-9):
         raise GateFailure("propagation lost the state norm or overflowed; "
                           "no finite gate to report")
 
     results = []
     for i in range(len(states)):
-        traj = Trajectory(times=block.times, amplitudes=block.amplitudes[:, i],
-                          theta=block.theta)
-        leakage = float(aux_leakage(traj.amplitudes[-1]))
-
-        # fold the co-moving phase into the final amplitudes
-        w_final = traj.amplitudes[-1] * np.exp(1j * traj.theta[-1])
-
+        traj = Trajectory(times=block.times, amplitudes=block.amplitudes[:, i])
+        final = traj.amplitudes[-1]
+        leakage = float(aux_leakage(final))
         if leakage > params.epsilon:
             raise GateFailure(
                 f"population left outside the qubit space: {leakage:.3e} > "
-                f"epsilon = {params.epsilon:.1e}",
-                diagnostics={
-                    "leakage": leakage,
-                    "populations": np.abs(w_final) ** 2,
-                    "final_phases": np.angle(w_final),
-                    "epsilon": params.epsilon,
-                })
-
+                f"epsilon = {params.epsilon:.1e}")
         results.append(CzResult(
-            final=RegisterState(w_final / np.linalg.norm(w_final)),
-            trajectory=traj, leakage=leakage, schedule=schedule))
+            final=final / np.linalg.norm(final), trajectory=traj,
+            leakage=leakage, schedule=schedule))
     return results[0] if single else tuple(results)

@@ -195,14 +195,14 @@ def check_gate(params: GateParams) -> list:
         + [RegisterState.logical_superposition()], params)
     elapsed = time.perf_counter() - t0
 
-    finals = np.angle(sup_run.final.amplitudes[:4])
+    finals = np.angle(sup_run.final[:4])
     devs = cz_phase_error(finals)
     out.append(_res(5, "cz phases (pi, pi, pi, 0)", max(devs) <= 0.05,
                     "[" + ", ".join(f"{v:.4f}" for v in finals) + "] rad",
                     "within 0.05 rad",
                     detail=f"worst deviation {max(devs):.4f} rad"))
 
-    returns = [float(np.abs(r.final.amplitudes[i]) ** 2)
+    returns = [float(np.abs(r.final[i]) ** 2)
                for i, r in enumerate(basis_runs)]
     out.append(_res(5, "cz population return", min(returns) >= 1.0 - 1e-2,
                     f"min {min(returns):.5f}", ">= 0.99"))
@@ -211,8 +211,7 @@ def check_gate(params: GateParams) -> list:
     out.append(_res(5, "cz leakage", max(leaks) < 1e-2,
                     f"max {max(leaks):.2e}", "< 1e-2"))
 
-    fid = float(np.abs(np.vdot(0.5 * CZ_SIGNS,
-                               sup_run.final.amplitudes[:4])) ** 2)
+    fid = float(np.abs(np.vdot(0.5 * CZ_SIGNS, sup_run.final[:4])) ** 2)
     out.append(_res(5, "cz superposition fidelity",
                     fid >= 1.0 - 4.0 * params.epsilon,
                     f"{fid:.5f}", f">= {1.0 - 4.0 * params.epsilon:.2f}"))
@@ -221,8 +220,9 @@ def check_gate(params: GateParams) -> list:
                     f"{elapsed:.2f} s", "< 10 s"))
 
     # criterion 6: evolve against an eigh-built exp(-iHt), a construction
-    # independent of the propagator's Taylor series; samples=2 cuts each
-    # window into two steps, so the test needs no long trajectory
+    # independent of the propagator's Taylor series, rotated into the
+    # co-moving frame by exp(i H_ii t); samples=2 cuts each window into
+    # two steps, so the test needs no long trajectory
     two_records = replace(params, samples=2)
     rng = np.random.default_rng(7)
     c0 = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -234,7 +234,8 @@ def check_gate(params: GateParams) -> list:
         sched = PulseSchedule(pulses, dur)
         traj = evolve(RegisterState(c0), sched, two_records)
         h = build_hamiltonian(0.0, params, sched)
-        worst = max(worst, np.linalg.norm(traj.final - _expm(h, dur) @ c0))
+        want = np.exp(1j * np.real(np.diag(h)) * dur) * (_expm(h, dur) @ c0)
+        worst = max(worst, np.linalg.norm(traj.final - want))
     out.append(_res(6, "evolve vs eigh propagator", worst < 1e-6,
                     f"max |diff| {worst:.2e}", "< 1e-6 per segment"))
 
@@ -244,7 +245,7 @@ def check_gate(params: GateParams) -> list:
         dur = theta / params.g1
         sched = PulseSchedule((DetuningPulse(1, 0.0, dur),), dur)
         traj = evolve(RegisterState.basis(1), sched, two_records)
-        got = (traj.final * np.exp(1j * traj.theta[-1]))[[1, 6]]
+        got = traj.final[[1, 6]]
         want = np.array([math.cos(theta), -1j * math.sin(theta)])
         worst = max(worst, float(np.linalg.norm(got - want)))
     out.append(_res(6, "resonant window propagator", worst < 1e-4,
@@ -258,7 +259,7 @@ def check_gate(params: GateParams) -> list:
     c0 = np.zeros(8, dtype=complex)
     c0[1] = c0[6] = 1.0 / math.sqrt(2.0)
     traj = evolve(RegisterState(c0), sched, two_records)
-    got = (traj.final * np.exp(1j * traj.theta[-1]))[[1, 6]]
+    got = traj.final[[1, 6]]
     theta = -params.g1 ** 2 * dur / delta
     want = np.exp([1j * theta, -1j * theta]) / math.sqrt(2.0)
     err = float(np.linalg.norm(got - want))
@@ -369,9 +370,8 @@ def check_scaling(cfg: SimConfig) -> list:
     sup = RegisterState.logical_superposition()
     a, b = run_cz([sup, RegisterState(np.exp(0.3j) * sup.amplitudes)],
                   GateParams())
-    dp = float(np.max(np.abs(np.abs(b.final.amplitudes) ** 2
-                             - np.abs(a.final.amplitudes) ** 2)))
-    fa, fb = (np.angle(r.final.amplitudes[:4]) for r in (a, b))
+    dp = float(np.max(np.abs(np.abs(b.final) ** 2 - np.abs(a.final) ** 2)))
+    fa, fb = (np.angle(r.final[:4]) for r in (a, b))
     dphi = max(abs(math.remainder((x - fa[3]) - (y - fb[3]), 2.0 * math.pi))
                for x, y in zip(fa, fb))
     ok = dp < 1e-10 and dphi < 1e-10

@@ -6,7 +6,9 @@ power series summed in mpmath arbitrary precision, the slab root is a
 plain bisection in the axial wavevector (a different variable and a
 different misfit function than the production solver uses), the
 time evolution oracle is scipy's expm, and the overlap quadrature is
-the plain full-mesh rule on scipy's cylinder functions.  Slow is fine,
+the plain full-mesh rule on scipy's cylinder functions, and the
+overlap closed form is Lommel's integrals with Graf's addition theorem
+on scipy's cylinder functions.  Slow is fine,
 these run on a handful of points.  The table writer is the plain
 cell-by-cell loop with one write per line.
 """
@@ -122,14 +124,14 @@ def propagate_ref(h: np.ndarray, t: float, c0: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(-1j * np.asarray(h, dtype=complex) * t) @ c0
 
 
-def extract_phases_ref(amplitudes, theta, floor: float):
-    """(phases, valid, final) of the co-moving phase tracks, walked element
-    by element: each contiguous run where |amplitude| >= floor is
-    unwrapped on its own, a gap repeats the last valid phase (0 before
-    the first run), and final folds each column's last valid phase into
-    (-pi, pi] (0 for a column that is never valid)."""
-    w = amplitudes * np.exp(1j * theta)
-    valid = np.abs(amplitudes) >= floor
+def extract_phases_ref(amplitudes, floor: float):
+    """(phases, valid, final) of the phase tracks of co-moving amplitudes,
+    walked element by element: each contiguous run where |amplitude| >=
+    floor is unwrapped on its own, a gap repeats the last valid phase (0
+    before the first run), and final folds each column's last valid phase
+    into (-pi, pi] (0 for a column that is never valid)."""
+    w = np.asarray(amplitudes)
+    valid = np.abs(w) >= floor
     n = amplitudes.shape[0]
     phases = np.zeros((n, 8))
     final = np.zeros(8)
@@ -202,6 +204,35 @@ def transverse_ref(mode, L: float, n_r: int, n_phi: int,
     return (math.fsum((W * E0 * E0).ravel()),
             math.fsum((W * E0 * E1.real).ravel()),
             math.fsum((W * np.abs(E0n) ** 2).ravel()))
+
+
+def overlap_closed_form(mode, L: float) -> tuple:
+    """(I00, I01) of a disk at 0 and a neighbour at x = L > 2R in closed
+    form, on scipy's cylinder functions; no quadrature.
+
+    I00 = pi * int_0^R J_m(a rho)^2 rho drho / J_m(a R)^2, a = k n_eff,
+    by Lommel's integral (R^2/2)(J_m(aR)^2 - J_{m-1}(aR) J_{m+1}(aR)).
+
+    For I01, Graf's addition theorem (DLMF 10.23.7, valid for rho < L)
+    expands the neighbour's H_m(k rho1) cos(m phi1) inside disk 0; the
+    phi integral against cos(m phi) keeps the orders n = +-m only, and
+    leaves (-1)^m pi (H_2m(kL) + (-1)^m H_0(kL)) J_m(k rho).  The rho
+    integral of J_m(a rho) J_m(k rho) rho is Lommel's cross integral
+    (DLMF 10.22.5), R (a J_{m+1}(aR) J_m(kR) - k J_m(aR) J_{m+1}(kR)) /
+    (a^2 - k^2).
+    """
+    R = mode.geometry.radius
+    m = mode.geometry.azimuthal_number
+    k, a = mode.k, mode.k * mode.n_eff
+    jv, h1 = scipy.special.jv, scipy.special.hankel1
+    ja = jv(m, a * R)
+    i00 = (math.pi * 0.5 * R * R
+           * (ja * ja - jv(m - 1, a * R) * jv(m + 1, a * R)) / (ja * ja))
+    cross = R * (a * jv(m + 1, a * R) * jv(m, k * R)
+                 - k * ja * jv(m + 1, k * R)) / (a * a - k * k)
+    sign = (-1.0) ** m
+    graf = sign * math.pi * (h1(2 * m, k * L) + sign * h1(0, k * L)) / h1(m, k * R)
+    return float(i00), float(graf.real * cross / ja)
 
 
 def _fmt_ref(value) -> str:

@@ -114,6 +114,19 @@ def test_transverse_matches_full_mesh_oracle(m, R):
                 assert abs(g - r) <= 1e-12 * abs(r), (name, L, g, r)
 
 
+@pytest.mark.parametrize("m, R", [(40, 2.0), (40, 3.0), (50, 3.5)])
+def test_transverse_matches_closed_form(m, R):
+    # the first check of I00 and I01 that is not a quadrature: Lommel's
+    # integrals and Graf's addition theorem, at a resolution (192 radii,
+    # 16 m azimuthal nodes) where the quadrature sits at rounding
+    mode = solve_mode(R, m)
+    for lr in (2.01, 2.21, 2.49):
+        got = _transverse(mode, lr * R, 192, 16 * m)
+        ref = oracles.overlap_closed_form(mode, lr * R)
+        for name, g, r in zip(("I00", "I01"), got, ref):
+            assert abs(g - r) <= 1e-11 * abs(r), (name, lr, g, r)
+
+
 def test_transverse_evaluates_one_field_mesh(mode_m40_r2, monkeypatch):
     # per level: J_m on the radii, H_m on one half-period mesh, plus the
     # two scalar normalisations

@@ -500,6 +500,67 @@ def test_gate_sim_property(capsys, tmp_path, values, samples, guard,
     _one_line_failure(code, out, err)
 
 
+@st.composite
+def _whole_ini(draw):
+    """All four sections in one file.  The disk is a reference-like row or
+    one from _disks, with the index and wavelength near their defaults or
+    left out; one or two thickness rows and spacings; up to two [gate]
+    values as in test_gate_sim_property; samples <= 400.  Most draws
+    reach every command's numerics, the rest fail in one line."""
+    m, radius = draw(st.one_of(
+        _disks(), st.tuples(st.sampled_from([40, 50]), st.floats(2.0, 4.5))))
+    rows = draw(st.lists(st.tuples(st.integers(1, 60), st.floats(0.1, 10.0)),
+                         min_size=1, max_size=2))
+    disk = {"radius": f"{radius!r} um", "azimuthal_number": str(m),
+            "solve_rows": "; ".join(f"{mr} {r!r}" for mr, r in rows)}
+    index = draw(st.one_of(st.none(), st.floats(2.2, 2.6)))
+    if index is not None:
+        disk["refractive_index"] = repr(index)
+    wavelength = draw(st.one_of(st.none(), st.floats(0.6, 0.7)))
+    if wavelength is not None:
+        disk["wavelength"] = f"{wavelength!r} um"
+    spacings = draw(st.lists(st.one_of(st.floats(2.0, 12.0),
+                                       st.sampled_from([2.01, 2.21, 2.49])),
+                             min_size=1, max_size=2))
+    gate = {k: f"{v!r}{'' if k == 'epsilon' else ' rad_s'}"
+            for k, v in draw(st.dictionaries(
+                st.sampled_from(["g1", "g2", "delta_max", "omega_a0", "d_g",
+                                 "epsilon"]), _GATE_VALUE,
+                max_size=2)).items()}
+    pulses = {"samples": str(draw(st.integers(2, 400)))}
+    guard = draw(st.sampled_from([None, "calibrated", "fixed"]))
+    if guard:
+        pulses["guard"] = guard
+    fixed_gap = draw(st.one_of(st.none(), st.floats(0.0, 1e-9)))
+    if fixed_gap is not None:
+        pulses["fixed_gap"] = f"{fixed_gap!r} s"
+    sections = {"disk": disk,
+                "chain": {"l_over_r": ", ".join(map(repr, spacings))},
+                "gate": gate, "pulses": pulses}
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                          for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@given(text=_whole_ini())
+@example(text="[disk]\nradius = 3.0 um\nazimuthal_number = 40\n"
+              "solve_rows = 40 3.0; 50 3.5\n[chain]\nl_over_r = 2.49, 2.01\n"
+              "[gate]\ng2 = 1e10 rad_s\n[pulses]\nsamples = 400\n")
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_whole_ini_property(capsys, tmp_path, text):
+    # every command reads the whole file, so each meets every section
+    p = tmp_path / "whole.ini"
+    p.write_text(text)
+    for command in ("disk-solve", "coupling-sweep", "dispersion", "gate-sim"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [command, "--config", str(p)])
+        _one_line_failure(code, out, err)
+        assert "nan" not in out.lower()
+        assert code or err == ""
+
+
 def test_numerical_failure_exit_code(capsys, tmp_path):
     p = tmp_path / "shallow.ini"
     p.write_text("[gate]\ndelta_max = 1e11 rad_s\n")
@@ -518,7 +579,6 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
     with pytest.raises(GateFailure) as block:
         run_cz(states, params)
     assert str(block.value) == str(single.value)
-    assert block.value.diagnostics.keys() == single.value.diagnostics.keys()
 
 
 @pytest.mark.parametrize("argv", [
