@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+import functools
 import math
 
 from .dynamics import GateParams
@@ -93,11 +94,17 @@ def _parse(text: str, origin: str) -> configparser.ConfigParser:
     return cp
 
 
-def _merged(text, origin: str) -> dict:
-    """Section -> key -> raw value: the embedded defaults overlaid with
-    `text` (None: the defaults alone); `origin` names it in errors."""
+@functools.lru_cache(maxsize=None)
+def _defaults() -> tuple:
+    """The embedded defaults, parsed once: (section, ((key, raw), ...))."""
     base = _parse(DEFAULT_CONFIG_TEXT, "<defaults>")
-    values = {s: dict(base.items(s)) for s in base.sections()}
+    return tuple((s, tuple(base.items(s))) for s in base.sections())
+
+
+def _merged(text, origin: str) -> dict:
+    """Section -> key -> raw value: new dicts of the embedded defaults
+    overlaid with `text` (None: the defaults alone); `origin` names it."""
+    values = {s: dict(items) for s, items in _defaults()}
     if text is None:
         return values
 

@@ -369,16 +369,19 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
 
     The Hamiltonian is constant between pulse edges.  Each such segment
     is cut into n = max(1, round(params.samples * duration / total))
-    equal record intervals tau, and the state advanced once per record by
-    U = exp(-i H tau).  The trajectory holds the start state and every
-    record; the last record of a segment falls exactly on its end, so
-    params.samples gives about samples + 1 rows.  Each record is stored
-    times exp(i theta), theta the integral of the diagonal of H up to its
-    time: the co-moving amplitude, whose np.angle is the reported phase.
+    equal record intervals tau and filled by doubling: records 1..f times
+    U^f, U = exp(-i H tau) squared log2(f) times, are records f+1..2f, so
+    a segment takes about 2 log2(n) products.  The trajectory holds the
+    start state and every record; the last record of a segment falls
+    exactly on its end, so params.samples gives about samples + 1 rows.
+    Each record is stored times exp(i theta), theta the integral of the
+    diagonal of H up to its time: the co-moving amplitude, whose np.angle
+    is the reported phase.
 
     `state` is one state (a RegisterState or 8 amplitudes), giving (n, 8)
     amplitudes, or a (k, 8) block of states advanced together by each
-    segment's one U, giving (n, k, 8); times are shared.
+    segment's one U, giving (n, k, 8); times are shared.  More records
+    than numpy can address raise MemoryError.
     """
     c0 = (state.amplitudes if isinstance(state, RegisterState)
           else np.asarray(state, dtype=complex))
@@ -390,36 +393,41 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
     cuts = {0.0, total} | {e for p in schedule.pulses
                            for e in (p.t_on, p.t_off) if 0.0 < e < total}
     edges = sorted(cuts)
+    spans = [(a, b, max(1, round(params.samples * (b - a) / total)))
+             for a, b in zip(edges[:-1], edges[1:])]
+    rows = 1 + sum(n for _, _, n in spans)
 
-    # a stack of (8, 1) columns: matmul takes one matrix-vector product per
-    # state, the arithmetic of a single-state run, so blocking moves no
-    # state's records
-    c = c0.reshape(-1, 8, 1)
-    theta = np.zeros(8)
-    ts, amps, thetas = [np.array([0.0])], [c[None]], [theta[None, :]]
-    for a, b in zip(edges[:-1], edges[1:]):
+    # the k states are rows, record after record, advanced by U^T: a run
+    # of records is one (records * k, 8) @ (8, 8) product
+    k = c0.size // 8
+    try:
+        amps = np.empty((rows * k, 8), dtype=complex)
+    except ValueError as exc:
+        raise MemoryError(f"{rows:.3g} records of {k} states are more "
+                          "than numpy can address") from exc
+    amps[:k] = c0.reshape(k, 8)
+    times, thetas = np.zeros(rows), np.zeros((rows, 8))
+    i = 1
+    for a, b, n in spans:
         h = build_hamiltonian(0.5 * (a + b), params, schedule)
         diag = np.real(np.diag(h))
-        dur = b - a
-        n = max(1, round(params.samples * dur / total))
-        u = _expm(-1j * (dur / n) * h)
-        seg = np.empty((n,) + c.shape, dtype=complex)
-        for k in range(n):
-            c = u @ c
-            seg[k] = c
-        t = a + (dur / n) * np.arange(1, n + 1)
-        t[-1] = b
-        ts.append(t)
-        amps.append(seg)
-        thetas.append(theta + np.outer(t - a, diag))
-        theta = theta + diag * dur
+        p = _expm(-1j * ((b - a) / n) * h).T
+        seg = amps[(i - 1) * k:(i + n) * k]  # start state, then n records
+        f = 1
+        while f <= n:
+            m = min(f, n + 1 - f)
+            np.matmul(seg[:m * k], p, out=seg[f * k:(f + m) * k])
+            f += m
+            p = p @ p
+        times[i:i + n] = np.append(a + ((b - a) / n) * np.arange(1, n), b)
+        thetas[i:i + n] = thetas[i - 1] + np.outer(times[i:i + n] - a, diag)
+        i += n
 
-    # into the co-moving frame in place: (n, 1, 8, 1) against the
-    # (n, k, 8, 1) records, the same product per element for every state
-    amps = np.concatenate(amps)
-    amps *= np.exp(1j * np.concatenate(thetas))[:, None, :, None]
-    return Trajectory(times=np.concatenate(ts),
-                      amplitudes=amps.reshape((-1,) + c0.shape))
+    # into the co-moving frame in place: (n, 1, 8) against the (n, k, 8)
+    # records, the same product per element for every state
+    amps = amps.reshape(rows, k, 8)
+    amps *= np.exp(1j * thetas)[:, None, :]
+    return Trajectory(times=times, amplitudes=amps.reshape((-1,) + c0.shape))
 
 
 # ---------------------------------------------------------------------------

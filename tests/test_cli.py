@@ -365,6 +365,16 @@ def _one_line_failure(code, out, err):
     # far more records than any memory holds
     pytest.param("gate-sim", "[pulses]\nsamples = 1e15\n", "",
                  id="samples-1e15"),
+    # past what numpy can address: refused before any allocation
+    pytest.param("gate-sim", "[pulses]\nsamples = 1e17\n",
+                 "1e+17 records of 5 states are more than numpy can "
+                 "address", id="samples-1e17"),
+    pytest.param("gate-sim", "[pulses]\nsamples = 1e18\n",
+                 "1e+18 records of 5 states are more than numpy can "
+                 "address", id="samples-1e18"),
+    pytest.param("gate-sim", "[pulses]\nsamples = 1e19\n",
+                 "1e+19 records of 5 states are more than numpy can "
+                 "address", id="samples-1e19"),
     # cylinder functions past their range (0, 1e4]: j_{20000,1} for the
     # root bracket, k (L + R) = 11866 for the overlap mesh
     pytest.param("disk-solve", "[disk]\nsolve_rows = 20000 1000\n", "",

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from diskchain import ConfigError, default_config, load_config
+from diskchain import ConfigError, config as config_module, default_config, \
+    load_config
+from diskchain.refdata import DEFAULT_CONFIG_TEXT
 
 
 def write(tmp_path, text):
@@ -35,6 +37,30 @@ def test_spacings_scale_with_radius(config):
 def test_default_config_is_load_config_none():
     a, b = default_config(), load_config(None)
     assert a.disk == b.disk and a.l_over_r == b.l_over_r
+
+
+def test_default_parse_is_shared_but_never_mutated(tmp_path):
+    # the embedded defaults are parsed once per process; a file that
+    # overrides a key in every section must not leak into a later
+    # defaults-only load, and neither must a caller's edit of its merged
+    # values
+    p = write(tmp_path, "[disk]\nradius = 2.5 um\n[chain]\nl_over_r = 2.2\n"
+                        "[gate]\ng1 = 1.1e10 rad_s\n[pulses]\nsamples = 600\n")
+    custom = load_config(p)
+    assert (custom.disk.radius, custom.l_over_r, custom.gate.g1,
+            custom.gate.samples) == (2.5, (2.2,), 1.1e10, 600)
+    loaded = load_config(None)
+    config_module._defaults.cache_clear()
+    assert loaded == default_config()
+
+    base = config_module._parse(DEFAULT_CONFIG_TEXT, "<defaults>")
+    raw = {s: dict(base.items(s)) for s in base.sections()}
+    for text in (None, "[gate]\ng1 = 1.1e10 rad_s\n"):
+        merged = config_module._merged(text, "edit.ini")
+        merged["gate"]["g1"] = "junk"
+        merged["pulses"].clear()
+        del merged["disk"]
+        assert config_module._merged(None, "next.ini") == raw
 
 
 def test_partial_file_merges_over_defaults(tmp_path):

@@ -243,6 +243,64 @@ def test_block_evolve_matches_single_runs_and_oracle():
                                  - np.exp(1j * theta) * c.T)) < 1e-10
 
 
+# segment lengths around the doubling's steps: one record, and every
+# 2^k - 1, 2^k and 2^k + 1 up to 1025
+DOUBLING_LENGTHS = sorted({1} | {2 ** k + d for k in range(1, 11)
+                                 for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("n", DOUBLING_LENGTHS)
+def test_doubled_records_match_sequential_steps(n):
+    # a resonant qubit-1 window [0, T1] and as long parked after it:
+    # samples = 2n cuts both segments into n records
+    t1 = PARAMS.T1
+    params = replace(PARAMS, samples=2 * n)
+    sched = PulseSchedule((DetuningPulse(1, 0.0, t1),), 2.0 * t1)
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    block = np.vstack([block, RegisterState.logical_superposition().amplitudes])
+    traj = evolve(block, sched, params)
+    assert traj.amplitudes.shape == (2 * n + 1, 4, 8)
+    # the dark state's identity row and column survive every product
+    assert np.all(traj.amplitudes[:, 3, DARK_INDEX] == 0.5)
+
+    # sequential steps by the same U per segment, in the co-moving frame
+    hs = [build_hamiltonian(0.5 * t1, params, sched),
+          build_hamiltonian(1.5 * t1, params, sched)]
+    d1, d2 = (np.real(np.diag(h)) for h in hs)
+    t = traj.times[:, None]
+    theta = np.where(t <= t1, d1 * t, d1 * t1 + d2 * (t - t1))
+    steps = [block.T]
+    for h in hs:
+        u = dynamics._expm(-1j * (t1 / n) * h)
+        for _ in range(n):
+            steps.append(u @ steps[-1])
+    seq = np.exp(1j * theta)[:, None, :] * np.transpose(steps, (0, 2, 1))
+    assert np.max(np.abs(traj.amplitudes - seq)) <= 1e-13
+
+    # and scipy, stepping from one record time to the next
+    c = block.T
+    for k in range(1, 2 * n + 1):
+        a, b = traj.times[k - 1], traj.times[k]
+        h = build_hamiltonian(0.5 * (a + b), params, sched)
+        c = oracles.propagate_ref(h, b - a, c)
+        assert np.max(np.abs(traj.amplitudes[k]
+                             - np.exp(1j * theta[k]) * c.T)) <= 1e-10
+
+
+def test_long_run_keeps_its_norm():
+    # 20,000 records: a segment's last records come from the highest
+    # powers of U, so this is where rounding has grown most (about 4e-13)
+    params = replace(PARAMS, samples=20000)
+    traj = evolve(np.array([s.amplitudes for s in GATE_STATES]),
+                  make_cz_schedule(params), params)
+    assert len(traj.times) > 20000
+    drift = np.abs(np.linalg.norm(traj.amplitudes, axis=-1) - 1.0)
+    assert np.max(drift) <= 1e-12
+    assert np.all(traj.amplitudes[:, -1, DARK_INDEX] == 0.5)
+
+
 def test_evolve_rejects_bad_state_shape():
     sched = make_cz_schedule(PARAMS)
     for shape in ((7,), (3, 9), (2, 3, 8)):
