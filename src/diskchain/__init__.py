@@ -15,5 +15,5 @@ from .dynamics import (CzResult, DetuningPulse, GateFailure, GateParams,
                        PulseSchedule, RegisterState, Trajectory, aux_leakage,
                        build_hamiltonian, evolve, extract_phases,
                        logical_populations, make_cz_schedule, run_cz)
-from .config import ConfigError, SimConfig, default_config, load_config
+from .config import ConfigError, SimConfig, load_config
 from .verify import CheckResult, run_all

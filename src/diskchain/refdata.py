@@ -3,7 +3,8 @@
 These are the target numbers the reproduce-tables command and the
 acceptance suite check the solvers against: disk thicknesses for a
 resonant TM mode at the NV zero-phonon line, and inter-disk hopping
-energies over a grid of spacings.
+energies over a grid of spacings.  The TABLE1 rows and L_OVER_R are
+also the default solve_rows and l_over_r of config.SimConfig.
 
 A note on the hopping units: the hopping tables are stored in units of
 1e-3 eV.  At the tabulated design points the computed kappa lands in the
@@ -60,28 +61,3 @@ TABLE3_M50 = {
     3.5: (4.7383159, 0.15825279, 7.3626257e-3, 4.7248165e-4,
           4.1644441e-5, 7.5212790e-6),
 }
-
-# default configuration, used verbatim when no --config file is given
-DEFAULT_CONFIG_TEXT = """\
-[disk]
-radius = 3.0 um
-azimuthal_number = 40
-refractive_index = 2.4
-wavelength = 0.637 um
-# rows solved by disk-solve / reproduce-tables: "m R" pairs
-solve_rows = 40 2.0; 40 2.5; 40 3.0; 40 3.3; 40 3.5; 40 3.7; 40 4.0; 50 2.5; 50 3.0; 50 3.5; 50 3.7; 50 4.0; 50 4.5; 50 5.0
-
-[chain]
-l_over_r = 2.01, 2.11, 2.21, 2.31, 2.41, 2.49
-
-[gate]
-g1 = 1.0e10 rad_s
-g2 = 0.9e10 rad_s
-delta_max = 1.0e12 rad_s
-omega_a0 = 2.95e15 rad_s
-epsilon = 0.01
-
-[pulses]
-guard = calibrated
-samples = 1200
-"""

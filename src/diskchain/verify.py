@@ -18,7 +18,7 @@ import numpy as np
 from . import refdata
 from .chain import (coupling_kappa, coupling_sweep, dispersion, fit_loglinear,
                     overlap_integrals)
-from .config import SimConfig, default_config
+from .config import SimConfig
 from .core import wavelength_to_freq
 from .dynamics import (CZ_SIGNS, DetuningPulse, GateParams, PulseSchedule,
                        RegisterState, build_hamiltonian, cz_phase_error,
@@ -383,16 +383,15 @@ def check_scaling(cfg: SimConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def run_all(config: Optional[SimConfig] = None,
+def run_all(config: SimConfig = SimConfig(),
             tolerance: Optional[float] = None) -> list:
-    cfg = config if config is not None else default_config()
     out = []
-    out += check_table1(cfg, tolerance)
-    data, elapsed = hopping_data(cfg)
-    out += check_hopping(cfg, data, elapsed, tolerance)
-    out += check_decay_fits(cfg, data)
-    out += check_mode_ordering(cfg, data)
-    out += check_gate(cfg.gate)
+    out += check_table1(config, tolerance)
+    data, elapsed = hopping_data(config)
+    out += check_hopping(config, data, elapsed, tolerance)
+    out += check_decay_fits(config, data)
+    out += check_mode_ordering(config, data)
+    out += check_gate(config.gate)
     out += check_specfun()
-    out += check_scaling(cfg)
+    out += check_scaling(config)
     return out

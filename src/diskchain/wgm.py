@@ -38,6 +38,11 @@ class NoSolutionError(RuntimeError):
     """No whispering-gallery solution for the requested geometry."""
 
 
+# Largest core index n_c, about that of high-permittivity ceramics; far
+# past it kappa overflows (from n_c ~ 1e150), then n_c**2 (past 1.3e154).
+MAX_REFRACTIVE_INDEX = 100.0
+
+
 @dataclass(frozen=True)
 class DiskGeometry:
     """One microdisk: radius and thickness in um.
@@ -60,6 +65,9 @@ class DiskGeometry:
         if not 1.0 < self.refractive_index < math.inf:
             raise ValueError("refractive_index: finite n_c > 1 required, got "
                              f"{self.refractive_index}")
+        if self.refractive_index > MAX_REFRACTIVE_INDEX:
+            raise ValueError(f"refractive_index: n_c <= {MAX_REFRACTIVE_INDEX:g} "
+                             f"required, got {self.refractive_index}")
         if int(self.azimuthal_number) != self.azimuthal_number or self.azimuthal_number < 1:
             raise ValueError("azimuthal_number: integer >= 1 required, got "
                              f"{self.azimuthal_number}")
@@ -155,8 +163,9 @@ def solve_disk(R: float, m: int, lam0: float = CONSTANTS.zpl_wavelength,
     way FloatingPointError is raised: the root cannot be decided, which
     is not "no solution".
     """
-    if not (R > 0.0 and lam0 > 0.0):
-        raise ValueError("solve_disk: R and lam0 must be > 0")
+    if not (R > 0.0 and lam0 > 0.0 and 1.0 < n_c <= MAX_REFRACTIVE_INDEX):
+        raise ValueError("solve_disk: R and lam0 must be > 0 and n_c in "
+                         f"(1, {MAX_REFRACTIVE_INDEX:g}]")
     m = int(m)
     if m < 1:
         raise ValueError(f"solve_disk: m must be >= 1, got {m}")

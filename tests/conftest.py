@@ -1,12 +1,12 @@
 import pytest
 
-from diskchain import (RegisterState, default_config, overlap_integrals,
-                       run_cz, solve_mode, verify)
+from diskchain import (RegisterState, SimConfig, overlap_integrals, run_cz,
+                       solve_mode, verify)
 
 
 @pytest.fixture(scope="session")
 def config():
-    return default_config()
+    return SimConfig()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings
@@ -303,6 +304,13 @@ def test_usage_errors(capsys, tmp_path):
                  id="azimuthal_number-zero"),
     pytest.param("disk-solve", "[disk]\nrefractive_index = 0.5\n",
                  id="refractive_index-below-1"),
+    # past the index cap: inf kappa cells, then nan (n_c**2 overflows)
+    pytest.param("coupling-sweep", "[disk]\nrefractive_index = 1e150\n",
+                 id="refractive_index-1e150"),
+    pytest.param("disk-solve", "[disk]\nrefractive_index = 1e155\n",
+                 id="refractive_index-1e155"),
+    pytest.param("reproduce-tables", "[disk]\nrefractive_index = 1e155\n",
+                 id="refractive_index-1e155-tables"),
     pytest.param("gate-sim", "[gate]\nepsilon = -1\n", id="epsilon-negative"),
     pytest.param("gate-sim", "[gate]\ng2 = 0 rad_s\n", id="g2-zero"),
     pytest.param("gate-sim", "[gate]\nomega_a0 = -1 rad_s\n",
@@ -513,20 +521,23 @@ def test_gate_sim_property(capsys, tmp_path, values, samples, guard,
 @st.composite
 def _whole_ini(draw):
     """All four sections in one file.  The disk is a reference-like row or
-    one from _disks, with the index and wavelength near their defaults or
-    left out; one or two thickness rows and spacings; up to two [gate]
-    values as in test_gate_sim_property; samples <= 400.  Most draws
-    reach every command's numerics, the rest fail in one line."""
+    one from _disks, with the index log-uniform over 1..1e3 (across the
+    cap of 100) and the wavelength over 0.01..100 um, or either left out;
+    one or two thickness rows and spacings; up to two [gate] values as in
+    test_gate_sim_property; samples <= 400.  Many draws reach every
+    command's numerics, the rest fail in one line."""
     m, radius = draw(st.one_of(
         _disks(), st.tuples(st.sampled_from([40, 50]), st.floats(2.0, 4.5))))
     rows = draw(st.lists(st.tuples(st.integers(1, 60), st.floats(0.1, 10.0)),
                          min_size=1, max_size=2))
     disk = {"radius": f"{radius!r} um", "azimuthal_number": str(m),
             "solve_rows": "; ".join(f"{mr} {r!r}" for mr, r in rows)}
-    index = draw(st.one_of(st.none(), st.floats(2.2, 2.6)))
+    index = draw(st.one_of(st.none(), st.floats(0.0, 3.0).map(
+        lambda e: 10.0 ** e)))
     if index is not None:
         disk["refractive_index"] = repr(index)
-    wavelength = draw(st.one_of(st.none(), st.floats(0.6, 0.7)))
+    wavelength = draw(st.one_of(st.none(), st.floats(-2.0, 2.0).map(
+        lambda e: 10.0 ** e)))
     if wavelength is not None:
         disk["wavelength"] = f"{wavelength!r} um"
     spacings = draw(st.lists(st.one_of(st.floats(2.0, 12.0),
@@ -556,6 +567,9 @@ def _whole_ini(draw):
 @example(text="[disk]\nradius = 3.0 um\nazimuthal_number = 40\n"
               "solve_rows = 40 3.0; 50 3.5\n[chain]\nl_over_r = 2.49, 2.01\n"
               "[gate]\ng2 = 1e10 rad_s\n[pulses]\nsamples = 400\n")
+@example(text="[disk]\nradius = 3.0 um\nrefractive_index = 1e155\n"
+              "solve_rows = 40 3.0\n[chain]\nl_over_r = 2.01\n[gate]\n"
+              "[pulses]\nsamples = 400\n")
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_whole_ini_property(capsys, tmp_path, text):
@@ -568,6 +582,7 @@ def test_whole_ini_property(capsys, tmp_path, text):
             code, out, err = run(capsys, [command, "--config", str(p)])
         _one_line_failure(code, out, err)
         assert "nan" not in out.lower()
+        assert not re.search(r"\binf\b", out.lower())
         assert code or err == ""
 
 

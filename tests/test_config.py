@@ -1,10 +1,11 @@
+from dataclasses import fields
 import math
+from pathlib import Path
 
 import pytest
 
-from diskchain import ConfigError, config as config_module, default_config, \
-    load_config
-from diskchain.refdata import DEFAULT_CONFIG_TEXT
+from diskchain import ConfigError, SimConfig, load_config
+from diskchain.config import _SCHEMA
 
 
 def write(tmp_path, text):
@@ -34,33 +35,8 @@ def test_spacings_scale_with_radius(config):
     assert config.spacings() == pytest.approx(want)
 
 
-def test_default_config_is_load_config_none():
-    a, b = default_config(), load_config(None)
-    assert a.disk == b.disk and a.l_over_r == b.l_over_r
-
-
-def test_default_parse_is_shared_but_never_mutated(tmp_path):
-    # the embedded defaults are parsed once per process; a file that
-    # overrides a key in every section must not leak into a later
-    # defaults-only load, and neither must a caller's edit of its merged
-    # values
-    p = write(tmp_path, "[disk]\nradius = 2.5 um\n[chain]\nl_over_r = 2.2\n"
-                        "[gate]\ng1 = 1.1e10 rad_s\n[pulses]\nsamples = 600\n")
-    custom = load_config(p)
-    assert (custom.disk.radius, custom.l_over_r, custom.gate.g1,
-            custom.gate.samples) == (2.5, (2.2,), 1.1e10, 600)
-    loaded = load_config(None)
-    config_module._defaults.cache_clear()
-    assert loaded == default_config()
-
-    base = config_module._parse(DEFAULT_CONFIG_TEXT, "<defaults>")
-    raw = {s: dict(base.items(s)) for s in base.sections()}
-    for text in (None, "[gate]\ng1 = 1.1e10 rad_s\n"):
-        merged = config_module._merged(text, "edit.ini")
-        merged["gate"]["g1"] = "junk"
-        merged["pulses"].clear()
-        del merged["disk"]
-        assert config_module._merged(None, "next.ini") == raw
+def test_load_config_none_is_simconfig():
+    assert load_config(None) == SimConfig()
 
 
 def test_partial_file_merges_over_defaults(tmp_path):
@@ -172,5 +148,81 @@ def test_d_g_override(tmp_path):
     cfg = load_config(write(tmp_path, "[gate]\nd_g = 1.0e10 rad_s\n"))
     assert cfg.gate.D_g == 1.0e10
     # and untouched configs keep the honest 2 pi x 2.87 GHz
-    assert math.isclose(default_config().gate.D_g, 2.0 * math.pi * 2.87e9,
+    assert math.isclose(SimConfig().gate.D_g, 2.0 * math.pi * 2.87e9,
                         rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the key table
+
+_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+
+# a legal value other than the default, for every key
+_OTHER = {
+    "radius": "2.5 um", "azimuthal_number": "50", "refractive_index": "2.5",
+    "wavelength": "0.7 um", "solve_rows": "40 2.0", "l_over_r": "2.2",
+    "g1": "1.1e10 rad_s", "g2": "0.8e10 rad_s", "delta_max": "2e12 rad_s",
+    "omega_a0": "3e15 rad_s", "d_g": "1e10 rad_s", "epsilon": "0.02",
+    "guard": "fixed", "samples": "600", "fixed_gap": "2e-11 s",
+}
+
+# a value each DiskGeometry / GateParams field rejects, by field name.  D_g
+# only has to be finite, which the INI parser checks before the field does
+_REJECTED = {
+    "radius": "-1 um", "azimuthal_number": "0", "refractive_index": "0.5",
+    "g1": "0 rad_s", "g2": "1e300 rad_s", "delta_max": "1e10 rad_s",
+    "omega_a0": "-1 rad_s", "D_g": "nan rad_s", "epsilon": "-1",
+    "guard": "sloppy", "fixed_gap": "-1 s", "samples": "1",
+}
+
+
+def _flat(cfg):
+    """target -> value for every field of cfg, cfg.disk and cfg.gate."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in ("disk", "gate"):
+            out.update({f"{f.name}.{g.name}": getattr(value, g.name)
+                        for g in fields(value)})
+        else:
+            out[f.name] = value
+    return out
+
+
+def test_every_key_has_a_legal_other_value():
+    assert sorted(_OTHER) == sorted(key for _, key in _KEYS)
+
+
+@pytest.mark.parametrize("section, key", _KEYS)
+def test_each_key_sets_exactly_its_own_field(tmp_path, section, key):
+    cfg = load_config(write(tmp_path, f"[{section}]\n{key} = {_OTHER[key]}\n"))
+    new, old = _flat(cfg), _flat(SimConfig())
+    assert {t for t in new if new[t] != old[t]} == {_SCHEMA[section][key][2]}
+
+
+def test_every_type_field_but_thickness_is_a_key():
+    targets = {target for s, k in _KEYS for _, _, target in [_SCHEMA[s][k]]}
+    assert set(_flat(SimConfig())) - targets == {"disk.thickness"}
+
+
+@pytest.mark.parametrize("field", sorted(_REJECTED))
+def test_field_errors_name_the_key_that_sets_them(tmp_path, field):
+    (section, key), = [(s, k) for s, k in _KEYS
+                       if _SCHEMA[s][k][2].rpartition(".")[2] == field]
+    with pytest.raises(ConfigError) as exc:
+        load_config(write(tmp_path, f"[{section}]\n{key} = {_REJECTED[field]}\n"))
+    assert str(exc.value).startswith(f"[{section}] {key}: ")
+
+
+def test_readme_configuration_block_loads_and_names_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    load_config(write(tmp_path, block))
+    named = {}
+    for line in block.splitlines():
+        if line.startswith("["):
+            keys = named.setdefault(line.strip("[]"), [])
+        elif line.strip():
+            keys.append(line.split("=")[0].strip())
+    assert named == {s: list(keys) for s, keys in _SCHEMA.items()}

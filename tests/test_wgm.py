@@ -13,7 +13,7 @@ import oracles
 from diskchain import (CONSTANTS, DiskGeometry, NoSolutionError, WgmMode,
                        radial_residual, solve_disk, solve_mode,
                        thickness_for_index)
-from diskchain.wgm import _first_zero
+from diskchain.wgm import MAX_REFRACTIVE_INDEX, _first_zero
 
 K0 = 2.0 * math.pi / CONSTANTS.zpl_wavelength
 NC = 2.4
@@ -105,6 +105,20 @@ def test_solve_disk_below_oscillation():
         solve_disk(-1.0, 40)
     with pytest.raises(ValueError, match="m must be >= 1"):
         solve_disk(2.0, 0)
+
+
+def test_refractive_index_cap():
+    # held where a library caller passes n_c: the geometry and the solver
+    n_eff, h = solve_disk(2.0, 40, n_c=MAX_REFRACTIVE_INDEX)
+    assert math.isfinite(n_eff) and math.isfinite(h)
+    DiskGeometry(radius=2.0, azimuthal_number=40,
+                 refractive_index=MAX_REFRACTIVE_INDEX)
+    above = math.nextafter(MAX_REFRACTIVE_INDEX, math.inf)
+    for n_c in (above, 1e155):
+        with pytest.raises(ValueError, match="refractive_index: n_c <= 100"):
+            DiskGeometry(radius=2.0, azimuthal_number=40, refractive_index=n_c)
+        with pytest.raises(ValueError, match="n_c in"):
+            solve_disk(2.0, 40, n_c=n_c)
 
 
 def test_first_zero_against_scipy():
