@@ -9,11 +9,10 @@ from .specfun import bessel_j, bessel_y, hankel1
 from .wgm import (DiskGeometry, NoSolutionError, WgmMode, radial_residual,
                   solve_disk, solve_mode, thickness_for_index)
 from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
-                    coupling_kappa, coupling_sweep, dispersion,
-                    fit_loglinear, overlap_integrals)
+                    coupling_kappa, dispersion, fit_loglinear,
+                    overlap_integrals)
 from .dynamics import (CzResult, DetuningPulse, GateFailure, GateParams,
                        PulseSchedule, RegisterState, Trajectory, aux_leakage,
                        build_hamiltonian, evolve, extract_phases,
                        logical_populations, make_cz_schedule, run_cz)
 from .config import ConfigError, SimConfig, load_config
-from .verify import CheckResult, run_all

@@ -39,6 +39,9 @@ from .wgm import WgmMode
 # tight binding holds while every overlap ratio to beta0 stays below this
 VALIDITY_LIMIT = 0.1
 
+_RTOL = 5e-3         # the quadrature's 0.5 % gate between resolution levels
+_MAX_LEVELS = 5      # levels tried before QuadratureError
+
 
 class QuadratureError(RuntimeError):
     """Overlap quadrature failed to converge within the resolution cap."""
@@ -71,8 +74,6 @@ class OverlapIntegrals:
 
 @dataclass(frozen=True)
 class CouplingResult:
-    integrals: OverlapIntegrals
-    omega: float            # single-disk mode frequency, rad/s
     kappa: float            # hopping, rad/s
     kappa_ev: float         # same number in eV
 
@@ -145,14 +146,14 @@ def _transverse(mode: WgmMode, L: float, n_r: int, n_phi: int) -> tuple:
     return I00, I01, Ida
 
 
-def overlap_integrals(mode: WgmMode, L: float, rtol: float = 5e-3,
-                      n_radial: int = 96, max_levels: int = 5) -> OverlapIntegrals:
+def overlap_integrals(mode: WgmMode, L: float,
+                      n_radial: int = 96) -> OverlapIntegrals:
     """Interior overlap integrals of a disk at 0 and a neighbour at +-L.
 
-    Resolution is doubled until no integral moves by more than rtol
-    (default the 0.5% gate); L may be signed, the mirror symmetry
+    Resolution is doubled from n_radial x 8m nodes until no integral
+    moves by more than _RTOL; L may be signed, the mirror symmetry
     alpha_1 = alpha_{-1}, beta_1 = beta_{-1} is a test target, not an
-    assumption.
+    assumption.  benchmarks/spans.py reads n_radial's default at import.
     """
     geo = mode.geometry
     if not 2.0 * geo.radius <= abs(L) < math.inf:
@@ -168,21 +169,21 @@ def overlap_integrals(mode: WgmMode, L: float, rtol: float = 5e-3,
     n_phi = 8 * m
     prev = None
     rel = math.inf
-    for _ in range(max_levels):
+    for _ in range(_MAX_LEVELS):
         cur = _transverse(mode, L, n_r, n_phi)
         if prev is not None:
             floor = 1e-14 * abs(cur[0])
             rel = max(abs(c - p) / max(abs(c), floor)
                       for c, p in zip(cur, prev))
-            if rel < rtol:
+            if rel < _RTOL:
                 break
         prev = cur
         n_r *= 2
         n_phi *= 2
     else:
         raise QuadratureError(
-            f"overlap integrals not converged to {rtol:.1e} after "
-            f"{max_levels} doublings (last change {rel:.2e})")
+            f"overlap integrals not converged to {_RTOL:.1e} after "
+            f"{_MAX_LEVELS} doublings (last change {rel:.2e})")
 
     I00, I01, Ida = cur
     nc2 = geo.refractive_index ** 2
@@ -202,8 +203,7 @@ def coupling_kappa(integrals: OverlapIntegrals, omega: float) -> CouplingResult:
     if not integrals.beta0 > 0.0:
         raise ValueError("coupling_kappa: beta0 must be > 0")
     kappa = integrals.zeta * omega / integrals.beta0
-    return CouplingResult(integrals=integrals, omega=omega,
-                          kappa=kappa, kappa_ev=HBAR_EV_S * kappa)
+    return CouplingResult(kappa=kappa, kappa_ev=HBAR_EV_S * kappa)
 
 
 def dispersion(omega: float, integrals: OverlapIntegrals, KL):
@@ -220,15 +220,7 @@ def dispersion(omega: float, integrals: OverlapIntegrals, KL):
 
 
 # ---------------------------------------------------------------------------
-# sweeps
-
-
-def coupling_sweep(mode: WgmMode, spacings: Sequence[float],
-                   omega: float) -> list:
-    """kappa at each spacing L (um) for one solved disk mode: one
-    CouplingResult per spacing, in input order."""
-    return [coupling_kappa(overlap_integrals(mode, L), omega)
-            for L in spacings]
+# decay fit
 
 
 def fit_loglinear(spacings: Sequence[float], kappas: Sequence[float]) -> tuple:

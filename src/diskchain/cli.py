@@ -14,7 +14,7 @@ range (0, 1e4] included), 3 reference-table check failure.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import json
 import math
@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .chain import (VALIDITY_LIMIT, QuadratureError, coupling_kappa,
-                    coupling_sweep, dispersion, fit_loglinear,
-                    overlap_integrals)
+                    dispersion, fit_loglinear, overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
 from .core import CONSTANTS, wavelength_to_freq
 from .dynamics import (GateFailure, RegisterState, aux_leakage,
@@ -52,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 class ResultTable:
     columns: list
     rows: list
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def _fmt(value) -> str:
@@ -159,9 +158,10 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
                       cfg.wavelength, cfg.disk.refractive_index)
     spacings = cfg.spacings()
     omega = wavelength_to_freq(cfg.wavelength)
-    results = coupling_sweep(mode, spacings, omega)
-    rows = []
-    for lr, L, res in zip(cfg.l_over_r, spacings, results):
+    integrals, rows = [], []
+    for lr, L in zip(cfg.l_over_r, spacings):
+        integrals.append(overlap_integrals(mode, L))
+        res = coupling_kappa(integrals[-1], omega)
         ratio = abs(res.kappa_ev) / CONSTANTS.zpl_energy
         rows.append([lr, L, res.kappa, res.kappa_ev,
                      math.log10(ratio) if ratio > 0.0 else None])
@@ -180,10 +180,10 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
         "fit_slope_per_um": _fmt(slope),
         "fit_intercept": _fmt(intercept),
         "fit_r2": _fmt(r2),
-        "quadrature": f"{results[-1].integrals.n_radial} x "
-                      f"{results[-1].integrals.n_azimuthal}",
+        "quadrature": f"{integrals[-1].n_radial} x "
+                      f"{integrals[-1].n_azimuthal}",
     })
-    _note_strained(meta, cfg.l_over_r, [res.integrals for res in results])
+    _note_strained(meta, cfg.l_over_r, integrals)
     table = ResultTable(
         columns=["l_over_r", "L_um", "kappa_rad_s", "kappa_ev",
                  "log10_kappa_over_e0"],
@@ -276,7 +276,7 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
 
 
 def cmd_reproduce_tables(cfg: SimConfig, args) -> int:
-    results = run_all(cfg, args.tolerance)
+    results = run_all(cfg)
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -290,13 +290,11 @@ def cmd_reproduce_tables(cfg: SimConfig, args) -> int:
         rows = [[r.criterion, r.name, "pass" if r.passed else "fail",
                  str(r.measured), str(r.expected), r.detail]
                 for r in results]
-        meta = _base_metadata("reproduce-tables", cfg, args)
-        meta["tolerance"] = (_fmt(args.tolerance)
-                             if args.tolerance is not None else "<defaults>")
         table = ResultTable(
             columns=["criterion", "name", "status", "measured", "expected",
                      "detail"],
-            rows=rows, metadata=meta)
+            rows=rows,
+            metadata=_base_metadata("reproduce-tables", cfg, args))
         _emit(table, args)
     return 3 if failures else 0
 
@@ -318,18 +316,6 @@ _COMMANDS = {
 }
 
 
-def _tolerance(text: str) -> float:
-    """--tolerance: a relative tolerance, finite and > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {text!r}")
-    return value
-
-
 # built once per process: about 1 ms, against 0.04 ms to parse a call
 @functools.cache
 def _build_parser() -> _Parser:
@@ -339,15 +325,12 @@ def _build_parser() -> _Parser:
     for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, metavar="PATH",
-                        help="INI configuration (defaults are embedded)")
+                        help="INI configuration (omitted: the defaults of "
+                             "SimConfig)")
         sp.add_argument("--out", default=None, metavar="PATH",
                         help="write the result table here instead of stdout")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table format (default csv)")
-        if name == "reproduce-tables":
-            sp.add_argument("--tolerance", type=_tolerance, default=None,
-                            help="override the relative tolerance of the "
-                                 "reference-table comparisons")
     return parser
 
 

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import math
 import time
-from typing import Optional
 
 import numpy as np
 
 from . import refdata
-from .chain import (coupling_kappa, coupling_sweep, dispersion, fit_loglinear,
-                    overlap_integrals)
+from .chain import coupling_kappa, dispersion, fit_loglinear, overlap_integrals
 from .config import SimConfig
 from .core import wavelength_to_freq
 from .dynamics import (CZ_SIGNS, DetuningPulse, GateParams, PulseSchedule,
@@ -46,8 +44,7 @@ def _res(criterion, name, passed, measured, expected, detail=""):
 # criterion 1: thickness table
 
 
-def check_table1(cfg: SimConfig, tolerance: Optional[float] = None) -> list:
-    rel = 0.05 if tolerance is None else tolerance
+def check_table1(cfg: SimConfig) -> list:
     out = []
     t0 = time.perf_counter()
     for m, table in ((40, refdata.TABLE1_M40), (50, refdata.TABLE1_M50)):
@@ -60,7 +57,7 @@ def check_table1(cfg: SimConfig, tolerance: Optional[float] = None) -> list:
                 out.append(_res(1, name, False, "error", f"{h_ref} um",
                                 detail=str(exc)))
                 continue
-            tol = max(rel * h_ref, 0.005)
+            tol = max(0.05 * h_ref, 0.005)
             out.append(_res(1, name, abs(h - h_ref) <= tol,
                             f"{h:.4f} um", f"{h_ref} um",
                             detail=f"|diff| <= {tol:.4f} um"))
@@ -87,15 +84,15 @@ def hopping_data(cfg: SimConfig) -> tuple:
         for radius in table:
             mode = solve_mode(radius, m, cfg.wavelength,
                               cfg.disk.refractive_index)
-            sweep = coupling_sweep(
-                mode, [lr * radius for lr in refdata.L_OVER_R], omega)
-            data[(m, radius)] = [abs(res.kappa_ev) for res in sweep]
+            data[(m, radius)] = [
+                abs(coupling_kappa(overlap_integrals(mode, lr * radius),
+                                   omega).kappa_ev)
+                for lr in refdata.L_OVER_R]
     return data, time.perf_counter() - t0
 
 
-def check_hopping(cfg: SimConfig, data: dict, elapsed: float,
-                  tolerance: Optional[float] = None) -> list:
-    rel = 0.30 if tolerance is None else tolerance
+def check_hopping(data: dict, elapsed: float) -> list:
+    rel = 0.30
     grid = refdata.L_OVER_R
     i_201, i_211, i_221, i_249 = (grid.index(2.01), grid.index(2.11),
                                   grid.index(2.21), grid.index(2.49))
@@ -131,7 +128,7 @@ def check_hopping(cfg: SimConfig, data: dict, elapsed: float,
 _FIT_POINTS = 4
 
 
-def check_decay_fits(cfg: SimConfig, data: dict) -> list:
+def check_decay_fits(data: dict) -> list:
     out = []
     slopes = {}
     window = refdata.L_OVER_R[:_FIT_POINTS]
@@ -154,7 +151,7 @@ def check_decay_fits(cfg: SimConfig, data: dict) -> list:
     return out
 
 
-def check_mode_ordering(cfg: SimConfig, data: dict) -> list:
+def check_mode_ordering(data: dict) -> list:
     out = []
     shared = sorted({r for (m, r) in data if m == 40}
                     & {r for (m, r) in data if m == 50})
@@ -383,14 +380,13 @@ def check_scaling(cfg: SimConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def run_all(config: SimConfig = SimConfig(),
-            tolerance: Optional[float] = None) -> list:
+def run_all(config: SimConfig = SimConfig()) -> list:
     out = []
-    out += check_table1(config, tolerance)
+    out += check_table1(config)
     data, elapsed = hopping_data(config)
-    out += check_hopping(config, data, elapsed, tolerance)
-    out += check_decay_fits(config, data)
-    out += check_mode_ordering(config, data)
+    out += check_hopping(data, elapsed)
+    out += check_decay_fits(data)
+    out += check_mode_ordering(data)
     out += check_gate(config.gate)
     out += check_specfun()
     out += check_scaling(config)

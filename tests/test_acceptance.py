@@ -34,19 +34,19 @@ def test_criterion_1_resonant_thickness_table(config):
     report(verify.check_table1(config))
 
 
-def test_criterion_2_hopping_magnitudes(config, hopping):
+def test_criterion_2_hopping_magnitudes(hopping):
     data, elapsed = hopping
-    report(verify.check_hopping(config, data, elapsed))
+    report(verify.check_hopping(data, elapsed))
 
 
-def test_criterion_3_exponential_decay_fits(config, hopping):
+def test_criterion_3_exponential_decay_fits(hopping):
     data, _ = hopping
-    report(verify.check_decay_fits(config, data))
+    report(verify.check_decay_fits(data))
 
 
-def test_criterion_4_confinement_ordering(config, hopping):
+def test_criterion_4_confinement_ordering(hopping):
     data, _ = hopping
-    report(verify.check_mode_ordering(config, data))
+    report(verify.check_mode_ordering(data))
 
 
 def test_criterion_5_cz_truth_table(gate_checks):

@@ -9,9 +9,8 @@ import pytest
 import oracles
 from diskchain import (CONSTANTS, DiskGeometry, GateParams,
                        OverlapIntegrals, QuadratureError, coupling_kappa,
-                       coupling_sweep, dispersion, fit_loglinear,
-                       make_cz_schedule, overlap_integrals, solve_mode,
-                       wavelength_to_freq)
+                       dispersion, fit_loglinear, make_cz_schedule,
+                       overlap_integrals, solve_mode, wavelength_to_freq)
 import diskchain.chain as chain_module
 from diskchain.chain import _transverse
 from diskchain.core import HBAR_EV_S
@@ -54,9 +53,10 @@ def test_quadrature_metadata_records_convergence(mode_m40_r2, ints_m40_r2):
         assert abs(got - prev) < 5e-3 * abs(got)
 
 
-def test_quadrature_error_when_levels_exhausted(mode_m40_r2):
+def test_quadrature_error_when_levels_exhausted(mode_m40_r2, monkeypatch):
+    monkeypatch.setattr(chain_module, "_MAX_LEVELS", 1)
     with pytest.raises(QuadratureError, match="not converged"):
-        overlap_integrals(mode_m40_r2, 4.42, max_levels=1)
+        overlap_integrals(mode_m40_r2, 4.42)
 
 
 def test_spacing_guard(mode_m40_r2):
@@ -211,20 +211,6 @@ def test_kappa_negligible_far_out(mode_m40_r2):
     far = abs(coupling_kappa(overlap_integrals(mode_m40_r2, 10.0),
                              OMEGA).kappa)
     assert far < 1e-2 * near
-
-
-def test_coupling_sweep_rows(mode_m40_r2):
-    # out of order on purpose: the rows must follow the input
-    spacings = [4.42, 4.02, 4.98]
-    rows = coupling_sweep(mode_m40_r2, spacings, OMEGA)
-    assert len(rows) == 3
-    for row in rows:
-        assert row.omega == OMEGA
-        assert row.kappa_ev == pytest.approx(HBAR_EV_S * row.kappa, rel=1e-12)
-        assert row.integrals.beta0 > 0.0
-    assert abs(rows[1].kappa) > abs(rows[0].kappa) > abs(rows[2].kappa)
-    assert rows == [coupling_kappa(overlap_integrals(mode_m40_r2, L), OMEGA)
-                    for L in spacings]
 
 
 def test_fit_loglinear_recovers_exact_line():

@@ -13,7 +13,9 @@ import pytest
 from scipy.special import jn_zeros
 
 import oracles
-from diskchain import GateFailure, RegisterState, cli, load_config, run_cz
+from diskchain import (GateFailure, RegisterState, cli, coupling_kappa,
+                       load_config, overlap_integrals, refdata, run_cz,
+                       solve_mode, wavelength_to_freq)
 from diskchain.cli import ResultTable, main
 
 SMALL_DISK = """
@@ -171,6 +173,26 @@ def test_coupling_sweep_fits_no_line_through_one_spacing(capsys, tmp_path,
     assert code == 0 and err == ""
     for key in ("fit_slope_per_um", "fit_intercept", "fit_r2"):
         assert f"# {key}: \n" in out
+
+
+def test_coupling_sweep_rows_follow_the_input_order(capsys, tmp_path):
+    # out of order on purpose: row i is the kappa of the i-th spacing
+    p = tmp_path / "order.ini"
+    p.write_text("[disk]\nradius = 2.0 um\n"
+                 "[chain]\nl_over_r = 2.21, 2.01, 2.49\n")
+    code, out, _ = run(capsys, ["coupling-sweep", "--config", str(p)])
+    assert code == 0
+    _, rows = csv_body(out)
+    cfg = load_config(str(p))
+    mode = solve_mode(cfg.disk.radius, cfg.disk.azimuthal_number,
+                      cfg.wavelength, cfg.disk.refractive_index)
+    omega = wavelength_to_freq(cfg.wavelength)
+    want = []
+    for lr, L in zip(cfg.l_over_r, cfg.spacings()):
+        res = coupling_kappa(overlap_integrals(mode, L), omega)
+        want.append([cli._fmt(v) for v in (lr, L, res.kappa, res.kappa_ev)])
+    assert [row[:4] for row in rows] == want
+    assert [row[0] for row in rows] == ["2.21", "2.01", "2.49"]
 
 
 def test_dispersion_band_consistency(capsys, small_cfg):
@@ -609,6 +631,7 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["coupling-sweep", "--threads", "2"],
     ["gate-sim", "--tolerance", "0.1"],
+    ["reproduce-tables", "--tolerance", "0.1"],
 ])
 def test_each_command_takes_only_its_options(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -617,27 +640,17 @@ def test_each_command_takes_only_its_options(capsys, argv):
         f"diskchain: unrecognized arguments: {' '.join(argv[1:])}"]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
-def test_reproduce_tables_rejects_a_tolerance_that_is_no_bound(capsys,
-                                                                value):
-    # inf would pass every tolerance check, nan and <= 0 fail them all
-    code, out, err = run(capsys, ["reproduce-tables", f"--tolerance={value}"])
-    assert code == 1 and out == ""
-    assert err.splitlines() == [
-        f"diskchain: argument --tolerance: must be a finite number > 0, "
-        f"got {value!r}"]
-
-
-def test_reproduce_tables_reports_failures(capsys):
-    # an absurd tolerance forces reference-table misses; the command must
-    # say which rows failed and exit 3
-    code, out, _ = run(capsys, ["reproduce-tables", "--tolerance", "1e-9"])
+def test_reproduce_tables_reports_failures(capsys, monkeypatch):
+    # one wrong reference thickness fails its own row and no other; the
+    # command must name it and exit 3
+    monkeypatch.setitem(refdata.TABLE1_M40, 2.0, 0.1)
+    code, out, _ = run(capsys, ["reproduce-tables"])
     assert code == 3
-    lines = out.splitlines()
-    assert any(l.startswith("FAIL  [1]") for l in lines)
-    assert any(l.startswith("PASS ") for l in lines)
-    summary = lines[-1]
-    assert summary.endswith("checks passed")
+    *checks, summary = out.splitlines()
+    assert [l for l in checks if not l.startswith("PASS  [")] == [
+        "FAIL  [1] table1 m=40 R=2.00: measured 0.4588 um, expected 0.1 um"
+        "  (|diff| <= 0.0050 um)"]
+    assert summary == f"{len(checks) - 1}/{len(checks)} checks passed"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import diskchain
 from diskchain import CONSTANTS, wavelength_to_freq
 from diskchain.core import HBAR_EV_S
 
@@ -26,3 +31,16 @@ def test_zero_field_splitting_units():
 def test_conversion_domains(fn, bad):
     with pytest.raises(ValueError):
         fn(bad)
+
+
+def test_package_import_leaves_the_acceptance_battery_out():
+    # library callers get the physics; only reproduce-tables needs verify
+    src = str(Path(diskchain.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diskchain; print('diskchain.verify' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout == "False\n"
