@@ -8,9 +8,8 @@ from .core import CONSTANTS, PhysicalConstants, wavelength_to_freq
 from .specfun import bessel_j, bessel_y, hankel1
 from .wgm import (DiskGeometry, NoSolutionError, WgmMode, radial_residual,
                   solve_disk, solve_mode, thickness_for_index)
-from .chain import (CouplingResult, OverlapIntegrals, QuadratureError,
-                    coupling_kappa, dispersion, fit_loglinear,
-                    overlap_integrals)
+from .chain import (OverlapIntegrals, QuadratureError, coupling_kappa,
+                    dispersion, fit_loglinear, overlap_integrals)
 from .dynamics import (CzResult, DetuningPulse, GateFailure, GateParams,
                        PulseSchedule, RegisterState, Trajectory, aux_leakage,
                        build_hamiltonian, evolve, extract_phases,

@@ -32,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HBAR_EV_S
 from .specfun import X_MAX, bessel_j, hankel1
 from .wgm import WgmMode
 
@@ -70,17 +69,6 @@ class OverlapIntegrals:
             "beta1/beta0": abs(self.beta1) / self.beta0,
             "delta_alpha/beta0": abs(self.delta_alpha) / self.beta0,
         }
-
-
-@dataclass(frozen=True)
-class CouplingResult:
-    kappa: float            # hopping, rad/s
-    kappa_ev: float         # same number in eV
-
-    @property
-    def band_width(self) -> float:
-        """|Omega(KL=pi) - Omega(KL=0)| = 2 kappa."""
-        return 2.0 * abs(self.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +171,7 @@ def overlap_integrals(mode: WgmMode, L: float,
     else:
         raise QuadratureError(
             f"overlap integrals not converged to {_RTOL:.1e} after "
-            f"{_MAX_LEVELS} doublings (last change {rel:.2e})")
+            f"{_MAX_LEVELS - 1} doublings (last change {rel:.2e})")
 
     I00, I01, Ida = cur
     nc2 = geo.refractive_index ** 2
@@ -198,25 +186,21 @@ def overlap_integrals(mode: WgmMode, L: float,
     )
 
 
-def coupling_kappa(integrals: OverlapIntegrals, omega: float) -> CouplingResult:
-    """Hopping rate kappa = zeta * omega / beta0, reported in rad/s and eV."""
+def coupling_kappa(integrals: OverlapIntegrals, omega: float) -> float:
+    """Hopping rate kappa = zeta * omega / beta0, in rad/s."""
     if not integrals.beta0 > 0.0:
         raise ValueError("coupling_kappa: beta0 must be > 0")
-    kappa = integrals.zeta * omega / integrals.beta0
-    return CouplingResult(kappa=kappa, kappa_ev=HBAR_EV_S * kappa)
+    return integrals.zeta * omega / integrals.beta0
 
 
-def dispersion(omega: float, integrals: OverlapIntegrals, KL):
-    """Chain band Omega(KL); KL may be a scalar or array in [-pi, pi]."""
+def dispersion(omega: float, integrals: OverlapIntegrals, KL) -> np.ndarray:
+    """Chain band Omega(KL) over an array of KL in [-pi, pi]."""
     kl = np.asarray(KL, dtype=float)
     if np.any(np.abs(kl) > math.pi + 1e-12):
         raise ValueError("dispersion: KL outside the first Brillouin zone")
-    out = omega * (1.0
-                   - integrals.delta_alpha / (2.0 * integrals.beta0)
-                   - (integrals.zeta / integrals.beta0) * np.cos(kl))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return omega * (1.0
+                    - integrals.delta_alpha / (2.0 * integrals.beta0)
+                    - (integrals.zeta / integrals.beta0) * np.cos(kl))
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,10 @@ from . import __version__
 from .chain import (VALIDITY_LIMIT, QuadratureError, coupling_kappa,
                     dispersion, fit_loglinear, overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
-from .core import CONSTANTS, wavelength_to_freq
+from .core import CONSTANTS, HBAR_EV_S, wavelength_to_freq
 from .dynamics import (GateFailure, RegisterState, aux_leakage,
                        cz_phase_error, extract_phases, logical_populations,
                        run_cz)
-from .verify import run_all
 from .wgm import NoSolutionError, radial_residual, solve_disk, solve_mode
 
 # a run too large for memory is refused as a numerical failure too
@@ -64,22 +63,26 @@ def _fmt(value) -> str:
 
 def _write_table(table: ResultTable, stream, fmt: str) -> None:
     if fmt == "csv":
-        # the whole text is one '%' operation and one write.  A row of one
-        # float per column goes through the '%.12g' row template, the digits
-        # _fmt gives; other rows (a blank, a string, an int: '%.12g' prints
-        # 10**13 as '1e+13') go through _fmt cell by cell
-        width = len(table.columns)
-        template = ",".join(["%.12g"] * width)
+        # the whole text is one '%' operation and one write, through one
+        # template per row type signature: a float (np.float64 too) is
+        # '%.12g', the digits _fmt gives; None is a blank field that takes
+        # no argument; anything else is '%s' (an int too: '%.12g' prints
+        # 10**13 as '1e+13')
         head = "".join(f"# {key}: {value}\n"
                        for key, value in table.metadata.items())
         pieces, cells = ["%s"], [head + ",".join(table.columns)]
+        templates = {}   # row type signature -> (template, has a blank)
         for row in table.rows:
-            if len(row) == width and set(map(type, row)) == {float}:
-                pieces.append(template)
-                cells.extend(row)
-            else:
-                pieces.append("%s")
-                cells.append(",".join(map(_fmt, row)))
+            kinds = tuple(map(type, row))
+            entry = templates.get(kinds)
+            if entry is None:
+                entry = templates[kinds] = (",".join(
+                    "%.12g" if issubclass(k, float)
+                    else "" if k is type(None) else "%s" for k in kinds),
+                    type(None) in kinds)
+            template, blank = entry
+            pieces.append(template)
+            cells.extend([v for v in row if v is not None] if blank else row)
         pieces.append("")
         stream.write("\n".join(pieces) % tuple(cells))
     else:
@@ -161,9 +164,10 @@ def cmd_coupling_sweep(cfg: SimConfig, args) -> int:
     integrals, rows = [], []
     for lr, L in zip(cfg.l_over_r, spacings):
         integrals.append(overlap_integrals(mode, L))
-        res = coupling_kappa(integrals[-1], omega)
-        ratio = abs(res.kappa_ev) / CONSTANTS.zpl_energy
-        rows.append([lr, L, res.kappa, res.kappa_ev,
+        kappa = coupling_kappa(integrals[-1], omega)
+        kappa_ev = HBAR_EV_S * kappa
+        ratio = abs(kappa_ev) / CONSTANTS.zpl_energy
+        rows.append([lr, L, kappa, kappa_ev,
                      math.log10(ratio) if ratio > 0.0 else None])
 
     # a line through fewer than two distinct spacings is no fit
@@ -198,7 +202,7 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
     omega = wavelength_to_freq(cfg.wavelength)
     spacing = cfg.spacings()[0]
     ints = overlap_integrals(mode, spacing)
-    res = coupling_kappa(ints, omega)
+    kappa = coupling_kappa(ints, omega)
 
     kl = np.linspace(-math.pi, math.pi, 41)
     band = dispersion(omega, ints, kl)
@@ -210,9 +214,9 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
         "R_um": _fmt(cfg.disk.radius),
         "L_um": _fmt(spacing),
         "omega_rad_s": _fmt(omega),
-        "kappa_rad_s": _fmt(res.kappa),
-        "kappa_ev": _fmt(res.kappa_ev),
-        "band_width_rad_s": _fmt(res.band_width),
+        "kappa_rad_s": _fmt(kappa),
+        "kappa_ev": _fmt(HBAR_EV_S * kappa),
+        "band_width_rad_s": _fmt(2.0 * abs(kappa)),
     })
     _note_strained(meta, cfg.l_over_r[:1], [ints])
     table = ResultTable(columns=["KL_rad", "omega_rad_s"], rows=rows,
@@ -276,6 +280,8 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
 
 
 def cmd_reproduce_tables(cfg: SimConfig, args) -> int:
+    # imported here: no other command needs the acceptance battery
+    from .verify import run_all
     results = run_all(cfg)
     failures = 0
     for r in results:

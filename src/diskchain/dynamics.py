@@ -357,15 +357,16 @@ class Trajectory:
     """Recorded evolution: times (s) and co-moving amplitudes."""
 
     times: np.ndarray          # (n,)
-    amplitudes: np.ndarray     # (n, 8), or (n, k, 8) for a block; complex
+    amplitudes: np.ndarray     # (n, k, 8) from evolve, (n, 8) per run; complex
 
     @property
     def final(self) -> np.ndarray:
         return self.amplitudes[-1]
 
 
-def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
-    """Propagate the register exactly through a pulse schedule.
+def evolve(states, schedule: PulseSchedule, params: GateParams) -> Trajectory:
+    """Propagate a block of register states exactly through a pulse
+    schedule.
 
     The Hamiltonian is constant between pulse edges.  Each such segment
     is cut into n = max(1, round(params.samples * duration / total))
@@ -378,16 +379,14 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
     diagonal of H up to its time: the co-moving amplitude, whose np.angle
     is the reported phase.
 
-    `state` is one state (a RegisterState or 8 amplitudes), giving (n, 8)
-    amplitudes, or a (k, 8) block of states advanced together by each
-    segment's one U, giving (n, k, 8); times are shared.  More records
-    than numpy can address raise MemoryError.
+    `states` is a (k, 8) block of amplitudes, advanced together by each
+    segment's one U, giving (n, k, 8) amplitudes on shared times.  More
+    records than numpy can address raise MemoryError.
     """
-    c0 = (state.amplitudes if isinstance(state, RegisterState)
-          else np.asarray(state, dtype=complex))
-    if c0.ndim not in (1, 2) or c0.shape[-1] != 8:
+    c0 = np.asarray(states, dtype=complex)
+    if c0.ndim != 2 or c0.shape[1] != 8:
         raise ValueError(
-            f"need 8 amplitudes or a (k, 8) block, got shape {c0.shape}")
+            f"need a (k, 8) block of amplitudes, got shape {c0.shape}")
     total = schedule.duration
 
     cuts = {0.0, total} | {e for p in schedule.pulses
@@ -399,13 +398,13 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
 
     # the k states are rows, record after record, advanced by U^T: a run
     # of records is one (records * k, 8) @ (8, 8) product
-    k = c0.size // 8
+    k = len(c0)
     try:
         amps = np.empty((rows * k, 8), dtype=complex)
     except ValueError as exc:
         raise MemoryError(f"{rows:.3g} records of {k} states are more "
                           "than numpy can address") from exc
-    amps[:k] = c0.reshape(k, 8)
+    amps[:k] = c0
     times, thetas = np.zeros(rows), np.zeros((rows, 8))
     i = 1
     for a, b, n in spans:
@@ -427,7 +426,7 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
     # records, the same product per element for every state
     amps = amps.reshape(rows, k, 8)
     amps *= np.exp(1j * thetas)[:, None, :]
-    return Trajectory(times=times, amplitudes=amps.reshape((-1,) + c0.shape))
+    return Trajectory(times=times, amplitudes=amps)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +452,9 @@ def extract_phases(trajectory: Trajectory) -> tuple:
     step = np.diff(valid.T.astype(np.int8), axis=1, prepend=0, append=0)
     cols, starts = np.nonzero(step == 1)
     stops = np.nonzero(step == -1)[1]
-    # columns whose runs share [start, stop) are unwrapped in one call: down
-    # axis 0 each column takes the same operations as alone, bit for bit
-    runs = {}
-    for i, j, k in zip(cols.tolist(), starts.tolist(), stops.tolist()):
-        runs.setdefault((j, k), []).append(i)
     phases = np.zeros((n, 8))
-    for (j, k), idx in runs.items():
-        phases[j:k, idx] = np.unwrap(angle[j:k, idx], axis=0)
+    for i, j, k in zip(cols.tolist(), starts.tolist(), stops.tolist()):
+        phases[j:k, i] = np.unwrap(angle[j:k, i])
     # a gap carries the last valid phase forward (0 before the first run)
     last = np.maximum.accumulate(
         np.where(valid, np.arange(n)[:, None], -1), axis=0)
@@ -522,8 +516,7 @@ def run_cz(initial, params: GateParams = GateParams()):
     # and a non-finite theta turns the amplitudes to NaN; either way some
     # final norm leaves 1 (NaN fails the test too)
     with np.errstate(all="ignore"):
-        block = evolve(np.array([s.amplitudes for s in states]), schedule,
-                       params)
+        block = evolve([s.amplitudes for s in states], schedule, params)
         drift = np.abs(np.linalg.norm(block.amplitudes[-1], axis=-1) - 1.0)
     if not np.all(drift <= 1e-9):
         raise GateFailure("propagation lost the state norm or overflowed; "

@@ -206,33 +206,62 @@ def transverse_ref(mode, L: float, n_r: int, n_phi: int,
             math.fsum((W * np.abs(E0n) ** 2).ravel()))
 
 
+def _lommel_square(n: int, x: float) -> float:
+    """int_0^1 J_n(x t)^2 t dt for n >= 0, by Lommel's integral
+    (J_n(x)^2 - J_{n-1}(x) J_{n+1}(x)) / 2, with J_{-1} = -J_1."""
+    jv = scipy.special.jv
+    below = jv(n - 1, x) if n else -jv(1, x)
+    return 0.5 * (jv(n, x) ** 2 - below * jv(n + 1, x))
+
+
 def overlap_closed_form(mode, L: float) -> tuple:
-    """(I00, I01) of a disk at 0 and a neighbour at x = L > 2R in closed
-    form, on scipy's cylinder functions; no quadrature.
+    """(I00, I01, Ida) of a disk at 0 and a neighbour at x = L > 2R in
+    closed form, on scipy's cylinder functions; no quadrature.
 
     I00 = pi * int_0^R J_m(a rho)^2 rho drho / J_m(a R)^2, a = k n_eff,
-    by Lommel's integral (R^2/2)(J_m(aR)^2 - J_{m-1}(aR) J_{m+1}(aR)).
+    by Lommel's integral.
 
-    For I01, Graf's addition theorem (DLMF 10.23.7, valid for rho < L)
-    expands the neighbour's H_m(k rho1) cos(m phi1) inside disk 0; the
-    phi integral against cos(m phi) keeps the orders n = +-m only, and
-    leaves (-1)^m pi (H_2m(kL) + (-1)^m H_0(kL)) J_m(k rho).  The rho
-    integral of J_m(a rho) J_m(k rho) rho is Lommel's cross integral
-    (DLMF 10.22.5), R (a J_{m+1}(aR) J_m(kR) - k J_m(aR) J_{m+1}(kR)) /
-    (a^2 - k^2).
+    Graf's addition theorem (DLMF 10.23.7, valid for rho < L) expands the
+    neighbour's field inside disk 0 as H_m(k rho1) cos(m phi1) =
+    (-1)^m sum_n c_n J_n(k rho) e^{i n phi}, c_n = (H_{m+n}(kL) + (-1)^m
+    H_{n-m}(kL)) / 2.  For I01 the phi integral against cos(m phi) keeps
+    the orders n = +-m only, and leaves (-1)^m pi (H_2m(kL) + (-1)^m
+    H_0(kL)) J_m(k rho).  The rho integral of J_m(a rho) J_m(k rho) rho
+    is Lommel's cross integral (DLMF 10.22.5), R (a J_{m+1}(aR) J_m(kR) -
+    k J_m(aR) J_{m+1}(kR)) / (a^2 - k^2).
+
+    Ida = 2 pi sum_n |c_n|^2 int_0^R J_n(k rho)^2 rho drho / |H_m(kR)|^2,
+    by orthogonality of the e^{i n phi}.  The terms fall roughly as
+    (R/L)^(2|n|) once |n| passes m + kL, and would overflow past n of
+    about 400, so the sum stops at the first pair of orders +-n past
+    m + kL that adds less than 1e-17 of it.
     """
     R = mode.geometry.radius
     m = mode.geometry.azimuthal_number
     k, a = mode.k, mode.k * mode.n_eff
     jv, h1 = scipy.special.jv, scipy.special.hankel1
     ja = jv(m, a * R)
-    i00 = (math.pi * 0.5 * R * R
-           * (ja * ja - jv(m - 1, a * R) * jv(m + 1, a * R)) / (ja * ja))
+    i00 = math.pi * R * R * _lommel_square(m, a * R) / (ja * ja)
     cross = R * (a * jv(m + 1, a * R) * jv(m, k * R)
                  - k * ja * jv(m + 1, k * R)) / (a * a - k * k)
     sign = (-1.0) ** m
     graf = sign * math.pi * (h1(2 * m, k * L) + sign * h1(0, k * L)) / h1(m, k * R)
-    return float(i00), float(graf.real * cross / ja)
+
+    def h(order):   # H_{-n} = (-1)^n H_n
+        return (-1.0) ** order * h1(-order, k * L) if order < 0 else h1(order, k * L)
+
+    def term(n):
+        c = 0.5 * (h(m + n) + sign * h(n - m))
+        return abs(c) ** 2 * _lommel_square(abs(n), k * R)
+
+    terms = [term(0)]
+    n = 0
+    while not (n > m + k * abs(L) and terms[-1] < 1e-17 * math.fsum(terms)):
+        n += 1
+        terms.append(term(n) + term(-n))
+    ida = (2.0 * math.pi * R * R * math.fsum(terms)
+           / abs(h1(m, k * R)) ** 2)
+    return float(i00), float(graf.real * cross / ja), ida
 
 
 def _fmt_ref(value) -> str:

@@ -13,7 +13,6 @@ from diskchain import (CONSTANTS, DiskGeometry, GateParams,
                        overlap_integrals, solve_mode, wavelength_to_freq)
 import diskchain.chain as chain_module
 from diskchain.chain import _transverse
-from diskchain.core import HBAR_EV_S
 
 OMEGA = wavelength_to_freq(CONSTANTS.zpl_wavelength)
 
@@ -54,8 +53,17 @@ def test_quadrature_metadata_records_convergence(mode_m40_r2, ints_m40_r2):
 
 
 def test_quadrature_error_when_levels_exhausted(mode_m40_r2, monkeypatch):
+    # n levels are n - 1 doublings; a gate of 0 lets no level converge
     monkeypatch.setattr(chain_module, "_MAX_LEVELS", 1)
-    with pytest.raises(QuadratureError, match="not converged"):
+    with pytest.raises(QuadratureError,
+                       match=r"not converged to 5\.0e-03 after 0 doublings "
+                             r"\(last change inf\)"):
+        overlap_integrals(mode_m40_r2, 4.42)
+    monkeypatch.setattr(chain_module, "_MAX_LEVELS", 2)
+    monkeypatch.setattr(chain_module, "_RTOL", 0.0)
+    with pytest.raises(QuadratureError,
+                       match=r"not converged to 0\.0e\+00 after 1 doublings "
+                             r"\(last change \d"):
         overlap_integrals(mode_m40_r2, 4.42)
 
 
@@ -116,15 +124,19 @@ def test_transverse_matches_full_mesh_oracle(m, R):
 
 @pytest.mark.parametrize("m, R", [(40, 2.0), (40, 3.0), (50, 3.5)])
 def test_transverse_matches_closed_form(m, R):
-    # the first check of I00 and I01 that is not a quadrature: Lommel's
+    # the first check of the integrals that is not a quadrature: Lommel's
     # integrals and Graf's addition theorem, at a resolution (192 radii,
-    # 16 m azimuthal nodes) where the quadrature sits at rounding
+    # 16 m azimuthal nodes) where the quadrature sits at rounding.  Ida
+    # is held to the oracle's full-mesh quadrature as well, on its first
+    # level (96 radii, 8 m azimuthal nodes)
     mode = solve_mode(R, m)
     for lr in (2.01, 2.21, 2.49):
         got = _transverse(mode, lr * R, 192, 16 * m)
         ref = oracles.overlap_closed_form(mode, lr * R)
-        for name, g, r in zip(("I00", "I01"), got, ref):
+        for name, g, r in zip(("I00", "I01", "Ida"), got, ref):
             assert abs(g - r) <= 1e-11 * abs(r), (name, lr, g, r)
+        mesh = oracles.transverse_ref(mode, lr * R, 96, 8 * m, mirror=True)[2]
+        assert abs(mesh - ref[2]) <= 1e-11 * ref[2], (lr, mesh, ref[2])
 
 
 def test_transverse_evaluates_one_field_mesh(mode_m40_r2, monkeypatch):
@@ -171,45 +183,39 @@ def test_validity_warning_on_large_ratio():
 def test_kappa_formula():
     ints = OverlapIntegrals(beta0=2.0, beta1=1e-5, alpha1=2.4e-5,
                             delta_alpha=1e-6, zeta=2e-5)
-    res = coupling_kappa(ints, 2.95e15)
-    assert res.kappa == pytest.approx(2e-5 * 2.95e15 / 2.0, rel=1e-14)
-    assert res.kappa_ev == pytest.approx(HBAR_EV_S * res.kappa, rel=1e-14)
-    assert res.band_width == pytest.approx(2.0 * abs(res.kappa), rel=1e-14)
+    assert coupling_kappa(ints, 2.95e15) == pytest.approx(
+        2e-5 * 2.95e15 / 2.0, rel=1e-14)
 
 
 def test_dispersion_band(ints_m40_r2):
-    res = coupling_kappa(ints_m40_r2, OMEGA)
-    ev = dispersion(OMEGA, ints_m40_r2, 0.7)
-    assert dispersion(OMEGA, ints_m40_r2, -0.7) == pytest.approx(ev, rel=1e-14)
-    centre = OMEGA * (1.0 - ints_m40_r2.delta_alpha / (2.0 * ints_m40_r2.beta0))
-    assert dispersion(OMEGA, ints_m40_r2, math.pi / 2.0) == pytest.approx(
-        centre, rel=1e-14)
-    edge_diff = (dispersion(OMEGA, ints_m40_r2, math.pi)
-                 - dispersion(OMEGA, ints_m40_r2, 0.0))
-    assert edge_diff == pytest.approx(2.0 * res.kappa, rel=1e-10)
+    kappa = coupling_kappa(ints_m40_r2, OMEGA)
+    plus, minus, quarter, edge, centre = dispersion(
+        OMEGA, ints_m40_r2, np.array([0.7, -0.7, math.pi / 2.0, math.pi, 0.0]))
+    assert minus == pytest.approx(plus, rel=1e-14)
+    assert quarter == pytest.approx(
+        OMEGA * (1.0 - ints_m40_r2.delta_alpha / (2.0 * ints_m40_r2.beta0)),
+        rel=1e-14)
+    assert edge - centre == pytest.approx(2.0 * kappa, rel=1e-10)
 
     kl = np.linspace(-math.pi, math.pi, 21)
     band = dispersion(OMEGA, ints_m40_r2, kl)
     assert band.shape == kl.shape
-    assert np.ptp(band) == pytest.approx(res.band_width, rel=1e-10)
-    assert isinstance(dispersion(OMEGA, ints_m40_r2, 0.0), float)
+    assert np.ptp(band) == pytest.approx(2.0 * abs(kappa), rel=1e-10)
     with pytest.raises(ValueError, match="Brillouin"):
-        dispersion(OMEGA, ints_m40_r2, 3.3)
+        dispersion(OMEGA, ints_m40_r2, np.array([0.0, 3.3]))
 
 
 def test_kappa_falls_with_spacing(mode_m40_r2):
     kappas = []
     for lr in (2.01, 2.21, 2.49):
         ints = overlap_integrals(mode_m40_r2, lr * 2.0)
-        kappas.append(abs(coupling_kappa(ints, OMEGA).kappa))
+        kappas.append(abs(coupling_kappa(ints, OMEGA)))
     assert kappas[0] > kappas[1] > kappas[2]
 
 
 def test_kappa_negligible_far_out(mode_m40_r2):
-    near = abs(coupling_kappa(overlap_integrals(mode_m40_r2, 5.0),
-                              OMEGA).kappa)
-    far = abs(coupling_kappa(overlap_integrals(mode_m40_r2, 10.0),
-                             OMEGA).kappa)
+    near = abs(coupling_kappa(overlap_integrals(mode_m40_r2, 5.0), OMEGA))
+    far = abs(coupling_kappa(overlap_integrals(mode_m40_r2, 10.0), OMEGA))
     assert far < 1e-2 * near
 
 

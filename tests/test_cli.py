@@ -3,7 +3,11 @@
 import io
 import json
 import math
+import os
+from pathlib import Path
 import re
+import subprocess
+import sys
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings
@@ -17,6 +21,7 @@ from diskchain import (GateFailure, RegisterState, cli, coupling_kappa,
                        load_config, overlap_integrals, refdata, run_cz,
                        solve_mode, wavelength_to_freq)
 from diskchain.cli import ResultTable, main
+from diskchain.core import HBAR_EV_S
 
 SMALL_DISK = """
 [disk]
@@ -189,8 +194,8 @@ def test_coupling_sweep_rows_follow_the_input_order(capsys, tmp_path):
     omega = wavelength_to_freq(cfg.wavelength)
     want = []
     for lr, L in zip(cfg.l_over_r, cfg.spacings()):
-        res = coupling_kappa(overlap_integrals(mode, L), omega)
-        want.append([cli._fmt(v) for v in (lr, L, res.kappa, res.kappa_ev)])
+        kappa = coupling_kappa(overlap_integrals(mode, L), omega)
+        want.append([cli._fmt(v) for v in (lr, L, kappa, HBAR_EV_S * kappa)])
     assert [row[:4] for row in rows] == want
     assert [row[0] for row in rows] == ["2.21", "2.01", "2.49"]
 
@@ -651,6 +656,21 @@ def test_reproduce_tables_reports_failures(capsys, monkeypatch):
         "FAIL  [1] table1 m=40 R=2.00: measured 0.4588 um, expected 0.1 um"
         "  (|diff| <= 0.0050 um)"]
     assert summary == f"{len(checks) - 1}/{len(checks)} checks passed"
+
+
+def test_cli_import_leaves_the_acceptance_battery_out():
+    # only reproduce-tables needs verify; every other command skips its
+    # import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diskchain.cli; "
+         "print('diskchain.verify' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -190,13 +190,20 @@ def segment_oracle(schedule, params, c0):
     return np.exp(1j * theta) * c
 
 
+def evolve_one(c0, sched, params):
+    """One state through evolve: the (n, 8) trajectory of a one-row block."""
+    traj = evolve([c0], sched, params)
+    return dynamics.Trajectory(times=traj.times,
+                               amplitudes=traj.amplitudes[:, 0])
+
+
 def test_evolve_matches_expm_oracle():
     rng = np.random.default_rng(11)
     c0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     c0 /= np.linalg.norm(c0)
     for params in ORACLE_PARAMS:
         sched = make_cz_schedule(params)
-        traj = evolve(RegisterState(c0), sched, params)
+        traj = evolve_one(c0, sched, params)
         want = segment_oracle(sched, params, c0)
         assert np.max(np.abs(traj.final - want)) < 1e-6
 
@@ -224,11 +231,11 @@ def test_block_evolve_matches_single_runs_and_oracle():
         n = len(traj.times)
         assert traj.amplitudes.shape == (n, 5, 8)
         for i, c0 in enumerate(block):
-            single = evolve(RegisterState(c0), sched, params)
-            assert single.amplitudes.shape == (n, 8)
+            single = evolve([c0], sched, params)
+            assert single.amplitudes.shape == (n, 1, 8)
             assert np.array_equal(single.times, traj.times)
             assert np.max(np.abs(traj.amplitudes[:, i]
-                                 - single.amplitudes)) < 1e-13
+                                 - single.amplitudes[:, 0])) < 1e-13
 
         # every record of every column, the oracle stepping the whole
         # block from one record time to the next
@@ -303,8 +310,8 @@ def test_long_run_keeps_its_norm():
 
 def test_evolve_rejects_bad_state_shape():
     sched = make_cz_schedule(PARAMS)
-    for shape in ((7,), (3, 9), (2, 3, 8)):
-        with pytest.raises(ValueError, match="8 amplitudes"):
+    for shape in ((8,), (7,), (3, 9), (2, 3, 8)):
+        with pytest.raises(ValueError, match=r"\(k, 8\) block"):
             evolve(np.zeros(shape), sched, PARAMS)
 
 
@@ -319,7 +326,8 @@ def test_evolve_rejects_empty_span():
 
 def test_target_pi_window_returns_population():
     sched = PulseSchedule((DetuningPulse(2, 0.0, PARAMS.T2),), PARAMS.T2)
-    traj = evolve(RegisterState.basis(0), sched, replace(PARAMS, samples=100))
+    traj = evolve_one(RegisterState.basis(0).amplitudes, sched,
+                      replace(PARAMS, samples=100))
     assert abs(traj.final[0]) ** 2 > 0.999
     # the minus sign of a full pi, up to the spectator ac-Stark phase
     # g1^2/delta * T2 ~ 0.03 rad that only the full calibrated sequence
@@ -331,7 +339,8 @@ def test_target_pi_window_returns_population():
 
 def test_control_half_window_transfers_population():
     sched = PulseSchedule((DetuningPulse(1, 0.0, PARAMS.T1),), PARAMS.T1)
-    traj = evolve(RegisterState.basis(0), sched, replace(PARAMS, samples=100))
+    traj = evolve_one(RegisterState.basis(0).amplitudes, sched,
+                      replace(PARAMS, samples=100))
     assert abs(traj.final[4]) ** 2 > 0.999
     phases, valid = extract_phases(traj)
     assert valid[-1, 4]
@@ -345,8 +354,8 @@ def test_parked_leakage_scales_with_detuning():
 
     def peak(delta):
         params = GateParams(delta_max=delta)
-        traj = evolve(RegisterState.basis(0), idle,
-                      replace(params, samples=600))
+        traj = evolve_one(RegisterState.basis(0).amplitudes, idle,
+                          replace(params, samples=600))
         return float(np.max(aux_leakage(traj.amplitudes)))
 
     ratio = peak(5e11) / peak(1e12)
@@ -492,35 +501,6 @@ def test_phases_match_ref_across_gaps():
     assert not extract_phases(traj)[1][:, 3].any()
 
 
-def test_columns_sharing_a_run_are_unwrapped_together(monkeypatch):
-    # columns 0 and 1 share the gapped runs [4, 17) and [25, 50), column 2
-    # has its own run [0, 31), 3 is never valid and 4-7 are always valid:
-    # one unwrap per distinct run, four in all, and the same bits as the
-    # column-by-column walk
-    n = 50
-    rng = np.random.default_rng(11)
-    valid = np.ones((n, 8), dtype=bool)
-    valid[:4, :2] = valid[17:25, :2] = False
-    valid[31:, 2] = False
-    valid[:, 3] = False
-    winding = np.cumsum(rng.uniform(1.0, 3.0, size=(n, 8)), axis=0)
-    amps = np.where(valid, 1.0, 1e-9) * np.exp(1j * winding)
-    traj = dynamics.Trajectory(times=np.arange(n, dtype=float),
-                               amplitudes=amps)
-    assert_phases_match_ref(traj)
-
-    calls = []
-    unwrap = np.unwrap
-
-    def counting(p, *args, **kwargs):
-        calls.append(p.shape)
-        return unwrap(p, *args, **kwargs)
-
-    monkeypatch.setattr(np, "unwrap", counting)
-    extract_phases(traj)
-    assert sorted(calls) == [(13, 2), (25, 2), (31, 1), (50, 4)]
-
-
 # ---------------------------------------------------------------------------
 # states and observables
 
@@ -624,7 +604,8 @@ def test_phase_gaps_are_flagged_not_nan(cz_sup, monkeypatch):
 
 def test_never_populated_track_reports_zero():
     sched = PulseSchedule((DetuningPulse(1, 0.0, PARAMS.T1),), PARAMS.T1)
-    traj = evolve(RegisterState.basis(0), sched, replace(PARAMS, samples=50))
+    traj = evolve_one(RegisterState.basis(0).amplitudes, sched,
+                      replace(PARAMS, samples=50))
     phases, valid = extract_phases(traj)
     # |g1 +2> never acquires amplitude from |g1 g2>
     assert not valid[:, 1].any()
