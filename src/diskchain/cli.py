@@ -227,11 +227,10 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
 
 def cmd_gate_sim(cfg: SimConfig, args) -> int:
     params = cfg.gate
-    *basis_runs, sup = run_cz(
-        [RegisterState.basis(i) for i in range(4)]
-        + [RegisterState.logical_superposition()], params)
+    # one run: each basis state's run is a block of the superposition's
+    run = run_cz(RegisterState.logical_superposition(), params)
 
-    traj = sup.trajectory
+    traj = run.trajectory
     tracks, valid = extract_phases(traj)
     pops = logical_populations(traj.amplitudes)
     aux = aux_leakage(traj.amplitudes)
@@ -248,19 +247,15 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
         "g2_rad_s": _fmt(params.g2),
         "delta_max_rad_s": _fmt(params.delta_max),
         "guard": params.guard,
-        "duration_s": _fmt(sup.schedule.duration),
+        "duration_s": _fmt(run.schedule.duration),
         "time_unit_s": _fmt(1.0 / scale),
     })
-    phases = [float(np.angle(run.final[i]))
-              for i, run in enumerate(basis_runs)]
-    lines = []
-    for i, (run, phase, dev) in enumerate(
-            zip(basis_runs, phases, cz_phase_error(phases))):
-        ret = float(np.abs(run.final[i]) ** 2)
+    truth = list(zip(run.phases, cz_phase_error(run.phases), run.returns,
+                     run.leakages))
+    for i, (phase, dev, ret, leak) in enumerate(truth):
         meta[f"truth_state_{i}"] = (
             f"phase={phase:.6f} rad, dev={dev:.2e} rad, "
-            f"return={ret:.6f}, leakage={run.leakage:.3e}")
-        lines.append((i, phase, dev, ret, run.leakage))
+            f"return={ret:.6f}, leakage={leak:.3e}")
 
     table = ResultTable(
         columns=["t", "p00", "p01", "p10", "p11", "p_aux",
@@ -271,10 +266,10 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
     if args.out:
         print("CZ truth table (target diag(-1,-1,-1,+1)):")
         print("state  phase/rad   deviation   return      leakage")
-        for i, phase, dev, ret, leak in lines:
-            label = ("|g1,g2>", "|g1,+2>", "|+1,g2>", "|+1,+2>")[i]
+        labels = ("|g1,g2>", "|g1,+2>", "|+1,g2>", "|+1,+2>")
+        for label, (phase, dev, ret, leak) in zip(labels, truth):
             print(f"{label}  {phase:+.5f}  {dev:.3e}  {ret:.6f}  {leak:.3e}")
-        print(f"superposition leakage {sup.leakage:.3e}, "
+        print(f"superposition leakage {run.leakage:.3e}, "
               f"trajectory written to {args.out}")
     return 0
 

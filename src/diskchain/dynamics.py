@@ -21,7 +21,8 @@ a constant: a global phase, invisible in any population or relative
 phase.  What remains on the diagonal are the qubit splittings D_k and
 the (time-dependent) optical detunings delta_k(t) = omega_w -
 omega_{a,k}(t); a Stark pulse on qubit k sets delta_k = 0 inside its
-window and leaves it parked at delta_k(0) outside.
+window and leaves it parked at delta_max outside (omega_w = omega_a0 +
+delta_max).
 
 evolve records every amplitude times exp(i Theta_i(t)), Theta_i(t) =
 integral of H_ii, i.e. in the co-moving frame where an uncoupled state
@@ -42,6 +43,13 @@ diag(-1,-1,-1,+1), a controlled-Z up to single-qubit frame choices.
 Between and around the windows the parked qubits still talk to the
 photon dispersively and accumulate ac-Stark phase at rate ~ g^2/delta;
 make_cz_schedule sets the idle intervals so those strays cancel.
+
+Truth table from one run
+------------------------
+H couples each logical state only to its own excited partners
+(_COUPLING_PAIRS): the blocks {0,4,5}, {1,6}, {2,7}, {3} never exchange
+amplitude.  So the superposition's run holds in each block the run of
+that basis state alone, times 1/2, and run_cz reads the truth table off it.
 """
 
 from __future__ import annotations
@@ -311,9 +319,10 @@ def build_hamiltonian(t: float, params: GateParams,
     that choice of zero.  Both NVs share omega_a0 and D_g.
     """
     on1, on2 = schedule.active(t)
-    parked = params.omega_w - params.omega_a0
-    delta1 = 0.0 if on1 else parked
-    delta2 = 0.0 if on2 else parked
+    # delta_max itself, the detuning make_cz_schedule pads against, not
+    # omega_w - omega_a0, which rounds to the spacing of omega_w
+    delta1 = 0.0 if on1 else params.delta_max
+    delta2 = 0.0 if on2 else params.delta_max
     d = params.D_g
     h = np.zeros((8, 8), dtype=complex)
     # energy zero at the dark state: a diagonal shift is one more global
@@ -357,16 +366,16 @@ class Trajectory:
     """Recorded evolution: times (s) and co-moving amplitudes."""
 
     times: np.ndarray          # (n,)
-    amplitudes: np.ndarray     # (n, k, 8) from evolve, (n, 8) per run; complex
+    amplitudes: np.ndarray     # (n, 8) complex
 
     @property
     def final(self) -> np.ndarray:
         return self.amplitudes[-1]
 
 
-def evolve(states, schedule: PulseSchedule, params: GateParams) -> Trajectory:
-    """Propagate a block of register states exactly through a pulse
-    schedule.
+def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
+    """Propagate 8 amplitudes exactly through a pulse schedule, giving
+    (n, 8) recorded amplitudes.
 
     The Hamiltonian is constant between pulse edges.  Each such segment
     is cut into n = max(1, round(params.samples * duration / total))
@@ -377,16 +386,12 @@ def evolve(states, schedule: PulseSchedule, params: GateParams) -> Trajectory:
     exactly on its end, so params.samples gives about samples + 1 rows.
     Each record is stored times exp(i theta), theta the integral of the
     diagonal of H up to its time: the co-moving amplitude, whose np.angle
-    is the reported phase.
-
-    `states` is a (k, 8) block of amplitudes, advanced together by each
-    segment's one U, giving (n, k, 8) amplitudes on shared times.  More
-    records than numpy can address raise MemoryError.
+    is the reported phase.  More records than numpy can address raise
+    MemoryError.
     """
-    c0 = np.asarray(states, dtype=complex)
-    if c0.ndim != 2 or c0.shape[1] != 8:
-        raise ValueError(
-            f"need a (k, 8) block of amplitudes, got shape {c0.shape}")
+    c0 = np.asarray(state, dtype=complex)
+    if c0.shape != (8,):
+        raise ValueError(f"need 8 amplitudes, got shape {c0.shape}")
     total = schedule.duration
 
     cuts = {0.0, total} | {e for p in schedule.pulses
@@ -396,36 +401,32 @@ def evolve(states, schedule: PulseSchedule, params: GateParams) -> Trajectory:
              for a, b in zip(edges[:-1], edges[1:])]
     rows = 1 + sum(n for _, _, n in spans)
 
-    # the k states are rows, record after record, advanced by U^T: a run
-    # of records is one (records * k, 8) @ (8, 8) product
-    k = len(c0)
+    # the records are rows advanced by U^T: a run of records is one
+    # (records, 8) @ (8, 8) product
     try:
-        amps = np.empty((rows * k, 8), dtype=complex)
+        amps = np.empty((rows, 8), dtype=complex)
     except ValueError as exc:
-        raise MemoryError(f"{rows:.3g} records of {k} states are more "
-                          "than numpy can address") from exc
-    amps[:k] = c0
+        raise MemoryError(f"{rows:.3g} records are more than numpy can "
+                          "address") from exc
+    amps[0] = c0
     times, thetas = np.zeros(rows), np.zeros((rows, 8))
     i = 1
     for a, b, n in spans:
         h = build_hamiltonian(0.5 * (a + b), params, schedule)
         diag = np.real(np.diag(h))
         p = _expm(-1j * ((b - a) / n) * h).T
-        seg = amps[(i - 1) * k:(i + n) * k]  # start state, then n records
+        seg = amps[i - 1:i + n]  # start state, then n records
         f = 1
         while f <= n:
             m = min(f, n + 1 - f)
-            np.matmul(seg[:m * k], p, out=seg[f * k:(f + m) * k])
+            np.matmul(seg[:m], p, out=seg[f:f + m])
             f += m
             p = p @ p
         times[i:i + n] = np.append(a + ((b - a) / n) * np.arange(1, n), b)
         thetas[i:i + n] = thetas[i - 1] + np.outer(times[i:i + n] - a, diag)
         i += n
 
-    # into the co-moving frame in place: (n, 1, 8) against the (n, k, 8)
-    # records, the same product per element for every state
-    amps = amps.reshape(rows, k, 8)
-    amps *= np.exp(1j * thetas)[:, None, :]
+    amps *= np.exp(1j * thetas)   # into the co-moving frame, in place
     return Trajectory(times=times, amplitudes=amps)
 
 
@@ -481,57 +482,63 @@ def cz_phase_error(phases) -> list:
 
 @dataclass(frozen=True)
 class CzResult:
-    final: np.ndarray          # (8,) co-moving, normalised; np.angle of it
-                               # gives the final phases
+    final: np.ndarray          # (8,) co-moving, normalised
     trajectory: Trajectory
     leakage: float             # population outside the qubit space at the end
     schedule: PulseSchedule
+    # the truth table (see run_cz); NaN where the run has no c_i(0)
+    phases: np.ndarray         # (4,) rad
+    returns: np.ndarray        # (4,)
+    leakages: np.ndarray       # (4,)
 
 
-def run_cz(initial, params: GateParams = GateParams()):
-    """Run the full controlled-Z sequence from the given initial state.
+def run_cz(initial: RegisterState,
+           params: GateParams = GateParams()) -> CzResult:
+    """Run the full controlled-Z sequence from one initial state.
 
-    `initial` is one RegisterState, giving one CzResult, or a sequence of
-    states (RegisterStates or 8 amplitudes each), propagated as one block
-    and giving a tuple of CzResults in the same order; each result's
-    trajectory is an (n, 8) view of the block.
-
-    Raises GateFailure when params admit no valid pulse schedule, when
-    the propagation leaves a final state non-finite or off unit norm by
-    more than 1e-9, and for the first state whose final leakage out of
-    the logical space exceeds params.epsilon.  Phase deviations from
-    the ideal diag(-1,-1,-1,+1) are read from np.angle of each final
-    state (the schedule's calibration keeps them small, but they are
-    diagnostics, not a gate on the run).
+    For each logical state i with c_i(0) != 0 the run gives, off i's
+    block, what a run from i alone would: phase np.angle(final[i]),
+    return |c_i|^2 over the block's population, leakage the block's
+    excited population over |c_i(0)|^2.  Raises GateFailure when params
+    admit no valid pulse schedule, when a block's norm leaves 1 by more
+    than 1e-9 (or turns non-finite), and for the first i whose leakage
+    exceeds params.epsilon.
     """
-    single = isinstance(initial, RegisterState)
-    states = [s if isinstance(s, RegisterState) else RegisterState(s)
-              for s in ([initial] if single else initial)]
     try:
         schedule = make_cz_schedule(params)
         schedule.validate_against(params)
     except (ValueError, OverflowError) as exc:
         raise GateFailure(f"no valid pulse schedule: {exc}") from exc
-    # a step propagator squared back from a huge norm over- or underflows,
-    # and a non-finite theta turns the amplitudes to NaN; either way some
-    # final norm leaves 1 (NaN fails the test too)
+    # a step propagator squared back from a huge norm over- or underflows
+    # and a non-finite theta turns the amplitudes to NaN.  Each block is
+    # held to its own norm: drifts of opposite sign cancel in the state's
     with np.errstate(all="ignore"):
-        block = evolve([s.amplitudes for s in states], schedule, params)
-        drift = np.abs(np.linalg.norm(block.amplitudes[-1], axis=-1) - 1.0)
+        traj = evolve(initial.amplitudes, schedule, params)
+        # the block of each logical state i: |c_i|^2 and the summed |c_j|^2
+        # of its excited partners j, at the start (row 0) and the end (row 1)
+        pop = np.abs([initial.amplitudes, traj.final]) ** 2
+        excited = np.zeros((2, 4))
+        for i, j, _ in _COUPLING_PAIRS:
+            excited[:, i] += pop[:, j]
+        before, after = pop[:, :4] + excited
+        drift = np.where(before > 0.0, np.abs(np.sqrt(after / before) - 1.0),
+                         after)
     if not np.all(drift <= 1e-9):
         raise GateFailure("propagation lost the state norm or overflowed; "
                           "no finite gate to report")
 
-    results = []
-    for i in range(len(states)):
-        traj = Trajectory(times=block.times, amplitudes=block.amplitudes[:, i])
-        final = traj.amplitudes[-1]
-        leakage = float(aux_leakage(final))
-        if leakage > params.epsilon:
-            raise GateFailure(
-                f"population left outside the qubit space: {leakage:.3e} > "
-                f"epsilon = {params.epsilon:.1e}")
-        results.append(CzResult(
-            final=final / np.linalg.norm(final), trajectory=traj,
-            leakage=leakage, schedule=schedule))
-    return results[0] if single else tuple(results)
+    start, end = pop[:, :4]
+    final = traj.final / np.linalg.norm(traj.final)
+    present = start > 0.0
+    with np.errstate(all="ignore"):
+        leakages = np.where(present, excited[1] / start, np.nan)
+        returns = np.where(present, end / after, np.nan)
+    over = np.flatnonzero(leakages > params.epsilon)
+    if over.size:
+        raise GateFailure(
+            f"population left outside the qubit space: "
+            f"{leakages[over[0]]:.3e} > epsilon = {params.epsilon:.1e}")
+    return CzResult(final=final, trajectory=traj,
+                    leakage=float(aux_leakage(traj.final)), schedule=schedule,
+                    phases=np.where(present, np.angle(final[:4]), np.nan),
+                    returns=returns, leakages=leakages)

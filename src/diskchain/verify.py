@@ -187,28 +187,22 @@ def check_gate(params: GateParams) -> list:
     out = []
     t0 = time.perf_counter()
 
-    *basis_runs, sup_run = run_cz(
-        [RegisterState.basis(i) for i in range(4)]
-        + [RegisterState.logical_superposition()], params)
+    run = run_cz(RegisterState.logical_superposition(), params)
     elapsed = time.perf_counter() - t0
 
-    finals = np.angle(sup_run.final[:4])
-    devs = cz_phase_error(finals)
+    devs = cz_phase_error(run.phases)
     out.append(_res(5, "cz phases (pi, pi, pi, 0)", max(devs) <= 0.05,
-                    "[" + ", ".join(f"{v:.4f}" for v in finals) + "] rad",
+                    "[" + ", ".join(f"{v:.4f}" for v in run.phases) + "] rad",
                     "within 0.05 rad",
                     detail=f"worst deviation {max(devs):.4f} rad"))
 
-    returns = [float(np.abs(r.final[i]) ** 2)
-               for i, r in enumerate(basis_runs)]
-    out.append(_res(5, "cz population return", min(returns) >= 1.0 - 1e-2,
-                    f"min {min(returns):.5f}", ">= 0.99"))
+    out.append(_res(5, "cz population return", min(run.returns) >= 1.0 - 1e-2,
+                    f"min {min(run.returns):.5f}", ">= 0.99"))
 
-    leaks = [r.leakage for r in basis_runs] + [sup_run.leakage]
-    out.append(_res(5, "cz leakage", max(leaks) < 1e-2,
-                    f"max {max(leaks):.2e}", "< 1e-2"))
+    leak = max(*run.leakages, run.leakage)
+    out.append(_res(5, "cz leakage", leak < 1e-2, f"max {leak:.2e}", "< 1e-2"))
 
-    fid = float(np.abs(np.vdot(0.5 * CZ_SIGNS, sup_run.final[:4])) ** 2)
+    fid = float(np.abs(np.vdot(0.5 * CZ_SIGNS, run.final[:4])) ** 2)
     out.append(_res(5, "cz superposition fidelity",
                     fid >= 1.0 - 4.0 * params.epsilon,
                     f"{fid:.5f}", f">= {1.0 - 4.0 * params.epsilon:.2f}"))
@@ -229,7 +223,7 @@ def check_gate(params: GateParams) -> list:
                         ((DetuningPulse(1, 0.0, params.T1),), params.T1),
                         ((DetuningPulse(2, 0.0, params.T2),), params.T2)):
         sched = PulseSchedule(pulses, dur)
-        final = evolve([c0], sched, two_records).final[0]
+        final = evolve(c0, sched, two_records).final
         h = build_hamiltonian(0.0, params, sched)
         want = np.exp(1j * np.real(np.diag(h)) * dur) * (_expm(h, dur) @ c0)
         worst = max(worst, np.linalg.norm(final - want))
@@ -241,8 +235,8 @@ def check_gate(params: GateParams) -> list:
     for theta in (0.5 * math.pi, math.pi):
         dur = theta / params.g1
         sched = PulseSchedule((DetuningPulse(1, 0.0, dur),), dur)
-        got = evolve([RegisterState.basis(1).amplitudes], sched,
-                     two_records).final[0, [1, 6]]
+        got = evolve(RegisterState.basis(1).amplitudes, sched,
+                     two_records).final[[1, 6]]
         want = np.array([math.cos(theta), -1j * math.sin(theta)])
         worst = max(worst, float(np.linalg.norm(got - want)))
     out.append(_res(6, "resonant window propagator", worst < 1e-4,
@@ -255,7 +249,7 @@ def check_gate(params: GateParams) -> list:
     sched = PulseSchedule((), dur)
     c0 = np.zeros(8, dtype=complex)
     c0[1] = c0[6] = 1.0 / math.sqrt(2.0)
-    got = evolve([c0], sched, two_records).final[0, [1, 6]]
+    got = evolve(c0, sched, two_records).final[[1, 6]]
     theta = -params.g1 ** 2 * dur / delta
     want = np.exp([1j * theta, -1j * theta]) / math.sqrt(2.0)
     err = float(np.linalg.norm(got - want))
@@ -263,7 +257,7 @@ def check_gate(params: GateParams) -> list:
                     f"|diff| {err:.2e}", "< 1e-4 (order (g/delta)^2)"))
 
     # criterion 7: conservation along the superposition run
-    amps = sup_run.trajectory.amplitudes
+    amps = run.trajectory.amplitudes
     norm_drift = float(np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0)))
     out.append(_res(7, "norm drift", norm_drift < 1e-9,
                     f"{norm_drift:.2e}", "< 1e-9"))
@@ -364,8 +358,8 @@ def check_scaling(cfg: SimConfig) -> list:
                     f"max rel change {dd:.2e}", "< 1e-10"))
 
     sup = RegisterState.logical_superposition()
-    a, b = run_cz([sup, RegisterState(np.exp(0.3j) * sup.amplitudes)],
-                  GateParams())
+    a = run_cz(sup)
+    b = run_cz(RegisterState(np.exp(0.3j) * sup.amplitudes))
     dp = float(np.max(np.abs(np.abs(b.final) ** 2 - np.abs(a.final) ** 2)))
     fa, fb = (np.angle(r.final[:4]) for r in (a, b))
     dphi = max(abs(math.remainder((x - fa[3]) - (y - fb[3]), 2.0 * math.pi))

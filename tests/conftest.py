@@ -37,6 +37,6 @@ def cz_sup():
 
 @pytest.fixture(scope="session")
 def gate_checks(config):
-    """check_gate rows; they cover three acceptance criteria, so the five
-    gate runs inside are shared rather than repeated per criterion."""
+    """check_gate rows; they cover three acceptance criteria, so the gate
+    run inside is shared rather than repeated per criterion."""
     return verify.check_gate(config.gate)

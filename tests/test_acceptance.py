@@ -3,7 +3,7 @@
 Each test prints a PASS/FAIL line for every check in its group (visible
 with -rA or -s, and in the captured output on failure) and fails if any
 check in the group failed.  The expensive shared inputs, the 36-point
-hopping grid and the five gate runs, come from session fixtures so each
+hopping grid and the gate run, come from session fixtures so each
 runtime budget is measured on one computation.
 """
 

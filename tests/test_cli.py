@@ -248,9 +248,7 @@ def test_gate_sim_p_aux_is_the_direct_aux_sum(capsys, tmp_path):
     assert run(capsys, ["gate-sim", "--out", str(out_path)])[0] == 0
     header, rows = csv_body(out_path.read_text())
     col = header.index("p_aux")
-    *_, sup = run_cz([RegisterState.basis(i) for i in range(4)]
-                     + [RegisterState.logical_superposition()],
-                     load_config(None).gate)
+    sup = run_cz(RegisterState.logical_superposition(), load_config(None).gate)
     amps = sup.trajectory.amplitudes
     direct = np.sum(np.abs(amps[:, 4:]) ** 2, axis=1)
     assert len(rows) == len(direct)
@@ -402,13 +400,13 @@ def _one_line_failure(code, out, err):
                  id="samples-1e15"),
     # past what numpy can address: refused before any allocation
     pytest.param("gate-sim", "[pulses]\nsamples = 1e17\n",
-                 "1e+17 records of 5 states are more than numpy can "
+                 "1e+17 records are more than numpy can "
                  "address", id="samples-1e17"),
     pytest.param("gate-sim", "[pulses]\nsamples = 1e18\n",
-                 "1e+18 records of 5 states are more than numpy can "
+                 "1e+18 records are more than numpy can "
                  "address", id="samples-1e18"),
     pytest.param("gate-sim", "[pulses]\nsamples = 1e19\n",
-                 "1e+19 records of 5 states are more than numpy can "
+                 "1e+19 records are more than numpy can "
                  "address", id="samples-1e19"),
     # cylinder functions past their range (0, 1e4]: j_{20000,1} for the
     # root bracket, k (L + R) = 11866 for the overlap mesh
@@ -619,18 +617,15 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["gate-sim", "--config", str(p)])
     assert code == 2
 
-    # the one line names the first leaking state in basis order, then the
-    # superposition, as one run per state would
+    # the one line is the message of the first leaking basis state run
+    # alone, |g1,g2> here, read off its block of the superposition
     params = load_config(str(p)).gate
-    states = ([RegisterState.basis(i) for i in range(4)]
-              + [RegisterState.logical_superposition()])
     with pytest.raises(GateFailure) as single:
-        for state in states:
-            run_cz(state, params)
+        run_cz(RegisterState.basis(0), params)
     assert err.splitlines() == [f"diskchain: numerical failure: {single.value}"]
-    with pytest.raises(GateFailure) as block:
-        run_cz(states, params)
-    assert str(block.value) == str(single.value)
+    with pytest.raises(GateFailure) as sup:
+        run_cz(RegisterState.logical_superposition(), params)
+    assert str(sup.value) == str(single.value)
 
 
 @pytest.mark.parametrize("argv", [

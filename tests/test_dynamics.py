@@ -3,6 +3,7 @@ propagator against an expm oracle, phase extraction, and the gate."""
 
 from dataclasses import replace
 import math
+import random
 
 import numpy as np
 import pytest
@@ -171,6 +172,21 @@ def test_hamiltonian_structure():
     assert h_idle[5, 5] - h_idle[0, 0] == pytest.approx(-PARAMS.delta_max)
 
 
+def test_hamiltonian_parks_at_delta_max():
+    # omega_w - omega_a0 rounds to the spacing of omega_w (0.5 rad/s
+    # here); a parked qubit sits at delta_max itself, the detuning
+    # make_cz_schedule pads its gaps against
+    params = GateParams(delta_max=1e12 + 0.3, D_g=0.0)
+    assert params.omega_w - params.omega_a0 != params.delta_max
+    window = PulseSchedule((DetuningPulse(1, 0.0, params.T1),),
+                           2.0 * params.T1)
+    idle = np.real(np.diag(build_hamiltonian(1.5 * params.T1, params, window)))
+    assert idle[4:].tolist() == [-params.delta_max] * 4
+    tuned = np.real(np.diag(build_hamiltonian(0.5 * params.T1, params, window)))
+    assert tuned[4:].tolist() == [0.0, -params.delta_max, 0.0,
+                                  -params.delta_max]
+
+
 # ---------------------------------------------------------------------------
 # propagator
 
@@ -190,64 +206,34 @@ def segment_oracle(schedule, params, c0):
     return np.exp(1j * theta) * c
 
 
-def evolve_one(c0, sched, params):
-    """One state through evolve: the (n, 8) trajectory of a one-row block."""
-    traj = evolve([c0], sched, params)
-    return dynamics.Trajectory(times=traj.times,
-                               amplitudes=traj.amplitudes[:, 0])
-
-
 def test_evolve_matches_expm_oracle():
     rng = np.random.default_rng(11)
     c0 = rng.normal(size=8) + 1j * rng.normal(size=8)
-    c0 /= np.linalg.norm(c0)
-    for params in ORACLE_PARAMS:
-        sched = make_cz_schedule(params)
-        traj = evolve_one(c0, sched, params)
-        want = segment_oracle(sched, params, c0)
-        assert np.max(np.abs(traj.final - want)) < 1e-6
-
-        # every record, stepping the oracle from one record time to the
-        # next; a record interval that straddled a pulse edge would take
-        # the wrong Hamiltonian here and miss by far more than the bound
-        c = c0
-        theta = np.zeros(8)
-        for k in range(1, len(traj.times)):
-            a, b = traj.times[k - 1], traj.times[k]
-            h = build_hamiltonian(0.5 * (a + b), params, sched)
-            c = oracles.propagate_ref(h, b - a, c)
-            theta = theta + np.real(np.diag(h)) * (b - a)
-            assert np.max(np.abs(traj.amplitudes[k]
-                                 - np.exp(1j * theta) * c)) < 1e-10
-
-
-def test_block_evolve_matches_single_runs_and_oracle():
     rng = np.random.default_rng(12)
-    block = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
-    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    starts = np.vstack([c0, rng.normal(size=(5, 8))
+                        + 1j * rng.normal(size=(5, 8))])
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     for params in ORACLE_PARAMS:
         sched = make_cz_schedule(params)
-        traj = evolve(block, sched, params)
-        n = len(traj.times)
-        assert traj.amplitudes.shape == (n, 5, 8)
-        for i, c0 in enumerate(block):
-            single = evolve([c0], sched, params)
-            assert single.amplitudes.shape == (n, 1, 8)
-            assert np.array_equal(single.times, traj.times)
-            assert np.max(np.abs(traj.amplitudes[:, i]
-                                 - single.amplitudes[:, 0])) < 1e-13
+        trajs = [evolve(c, sched, params) for c in starts]
+        want = segment_oracle(sched, params, starts[0])
+        assert np.max(np.abs(trajs[0].final - want)) < 1e-6
 
-        # every record of every column, the oracle stepping the whole
-        # block from one record time to the next
-        c = block.T
+        # every record of every start, stepping the oracle from one
+        # record time to the next; a record interval that straddled a
+        # pulse edge would take the wrong Hamiltonian here and miss by
+        # far more than the bound
+        c = starts.T
         theta = np.zeros(8)
-        for k in range(1, n):
-            a, b = traj.times[k - 1], traj.times[k]
+        times = trajs[0].times
+        for k in range(1, len(times)):
+            a, b = times[k - 1], times[k]
             h = build_hamiltonian(0.5 * (a + b), params, sched)
             c = oracles.propagate_ref(h, b - a, c)
             theta = theta + np.real(np.diag(h)) * (b - a)
-            assert np.max(np.abs(traj.amplitudes[k]
-                                 - np.exp(1j * theta) * c.T)) < 1e-10
+            for i, traj in enumerate(trajs):
+                assert np.max(np.abs(traj.amplitudes[k]
+                                     - np.exp(1j * theta) * c[:, i])) < 1e-10
 
 
 # segment lengths around the doubling's steps: one record, and every
@@ -264,54 +250,58 @@ def test_doubled_records_match_sequential_steps(n):
     params = replace(PARAMS, samples=2 * n)
     sched = PulseSchedule((DetuningPulse(1, 0.0, t1),), 2.0 * t1)
     rng = np.random.default_rng(n)
-    block = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-    block /= np.linalg.norm(block, axis=1, keepdims=True)
-    block = np.vstack([block, RegisterState.logical_superposition().amplitudes])
-    traj = evolve(block, sched, params)
-    assert traj.amplitudes.shape == (2 * n + 1, 4, 8)
+    starts = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    starts = np.vstack([starts, RegisterState.logical_superposition().amplitudes])
+    trajs = [evolve(c0, sched, params) for c0 in starts]
+    for traj in trajs:
+        assert traj.amplitudes.shape == (2 * n + 1, 8)
     # the dark state's identity row and column survive every product
-    assert np.all(traj.amplitudes[:, 3, DARK_INDEX] == 0.5)
+    assert np.all(trajs[3].amplitudes[:, DARK_INDEX] == 0.5)
 
     # sequential steps by the same U per segment, in the co-moving frame
     hs = [build_hamiltonian(0.5 * t1, params, sched),
           build_hamiltonian(1.5 * t1, params, sched)]
     d1, d2 = (np.real(np.diag(h)) for h in hs)
-    t = traj.times[:, None]
+    t = trajs[0].times[:, None]
     theta = np.where(t <= t1, d1 * t, d1 * t1 + d2 * (t - t1))
-    steps = [block.T]
+    steps = [starts.T]
     for h in hs:
         u = dynamics._expm(-1j * (t1 / n) * h)
         for _ in range(n):
             steps.append(u @ steps[-1])
     seq = np.exp(1j * theta)[:, None, :] * np.transpose(steps, (0, 2, 1))
-    assert np.max(np.abs(traj.amplitudes - seq)) <= 1e-13
+    for i, traj in enumerate(trajs):
+        assert np.max(np.abs(traj.amplitudes - seq[:, i])) <= 1e-13
 
     # and scipy, stepping from one record time to the next
-    c = block.T
+    c = starts.T
     for k in range(1, 2 * n + 1):
-        a, b = traj.times[k - 1], traj.times[k]
+        a, b = trajs[0].times[k - 1], trajs[0].times[k]
         h = build_hamiltonian(0.5 * (a + b), params, sched)
         c = oracles.propagate_ref(h, b - a, c)
-        assert np.max(np.abs(traj.amplitudes[k]
-                             - np.exp(1j * theta[k]) * c.T)) <= 1e-10
+        for i, traj in enumerate(trajs):
+            assert np.max(np.abs(traj.amplitudes[k]
+                                 - np.exp(1j * theta[k]) * c[:, i])) <= 1e-10
 
 
 def test_long_run_keeps_its_norm():
     # 20,000 records: a segment's last records come from the highest
     # powers of U, so this is where rounding has grown most (about 4e-13)
     params = replace(PARAMS, samples=20000)
-    traj = evolve(np.array([s.amplitudes for s in GATE_STATES]),
-                  make_cz_schedule(params), params)
-    assert len(traj.times) > 20000
-    drift = np.abs(np.linalg.norm(traj.amplitudes, axis=-1) - 1.0)
-    assert np.max(drift) <= 1e-12
-    assert np.all(traj.amplitudes[:, -1, DARK_INDEX] == 0.5)
+    sched = make_cz_schedule(params)
+    for state in GATE_STATES:
+        traj = evolve(state.amplitudes, sched, params)
+        assert len(traj.times) > 20000
+        drift = np.abs(np.linalg.norm(traj.amplitudes, axis=-1) - 1.0)
+        assert np.max(drift) <= 1e-12
+    assert np.all(traj.amplitudes[:, DARK_INDEX] == 0.5)
 
 
 def test_evolve_rejects_bad_state_shape():
     sched = make_cz_schedule(PARAMS)
-    for shape in ((8,), (7,), (3, 9), (2, 3, 8)):
-        with pytest.raises(ValueError, match=r"\(k, 8\) block"):
+    for shape in ((7,), (1, 8), (3, 9), (2, 3, 8)):
+        with pytest.raises(ValueError, match=r"need 8 amplitudes"):
             evolve(np.zeros(shape), sched, PARAMS)
 
 
@@ -326,8 +316,8 @@ def test_evolve_rejects_empty_span():
 
 def test_target_pi_window_returns_population():
     sched = PulseSchedule((DetuningPulse(2, 0.0, PARAMS.T2),), PARAMS.T2)
-    traj = evolve_one(RegisterState.basis(0).amplitudes, sched,
-                      replace(PARAMS, samples=100))
+    traj = evolve(RegisterState.basis(0).amplitudes, sched,
+                  replace(PARAMS, samples=100))
     assert abs(traj.final[0]) ** 2 > 0.999
     # the minus sign of a full pi, up to the spectator ac-Stark phase
     # g1^2/delta * T2 ~ 0.03 rad that only the full calibrated sequence
@@ -339,8 +329,8 @@ def test_target_pi_window_returns_population():
 
 def test_control_half_window_transfers_population():
     sched = PulseSchedule((DetuningPulse(1, 0.0, PARAMS.T1),), PARAMS.T1)
-    traj = evolve_one(RegisterState.basis(0).amplitudes, sched,
-                      replace(PARAMS, samples=100))
+    traj = evolve(RegisterState.basis(0).amplitudes, sched,
+                  replace(PARAMS, samples=100))
     assert abs(traj.final[4]) ** 2 > 0.999
     phases, valid = extract_phases(traj)
     assert valid[-1, 4]
@@ -354,8 +344,8 @@ def test_parked_leakage_scales_with_detuning():
 
     def peak(delta):
         params = GateParams(delta_max=delta)
-        traj = evolve_one(RegisterState.basis(0).amplitudes, idle,
-                          replace(params, samples=600))
+        traj = evolve(RegisterState.basis(0).amplitudes, idle,
+                      replace(params, samples=600))
         return float(np.max(aux_leakage(traj.amplitudes)))
 
     ratio = peak(5e11) / peak(1e12)
@@ -371,7 +361,7 @@ def test_run_cz_fails_loudly_when_parking_is_too_shallow():
     assert leakage > 0.01
 
 
-def test_five_state_run_cz_propagates_once(monkeypatch, cz_sup):
+def test_run_cz_propagates_once(monkeypatch, cz_sup):
     calls = {"evolve": 0, "_expm": 0}
 
     def counting(name):
@@ -384,26 +374,20 @@ def test_five_state_run_cz_propagates_once(monkeypatch, cz_sup):
 
     for name in calls:
         monkeypatch.setattr(dynamics, name, counting(name))
-    results = run_cz(GATE_STATES, PARAMS)
+    run = run_cz(RegisterState.logical_superposition(), PARAMS)
     sched = make_cz_schedule(PARAMS)
     edges = {0.0, sched.duration} | {e for p in sched.pulses
                                       for e in (p.t_on, p.t_off)}
     assert calls == {"evolve": 1, "_expm": len(edges) - 1}
 
-    # one result per state, in order, each an (n, 8) view of the block
-    # sharing its times; the superposition's matches its own run
-    assert isinstance(results, tuple) and len(results) == 5
+    # one (n, 8) trajectory, and the truth table of all four states
     n = len(cz_sup.trajectory.times)
-    for state, res in zip(GATE_STATES, results):
-        assert res.trajectory.amplitudes.shape == (n, 8)
-        assert np.array_equal(res.trajectory.amplitudes[0], state.amplitudes)
-        assert res.trajectory.times is results[0].trajectory.times
-        assert res.final.shape == (8,)
-    sup = results[-1]
-    assert np.max(np.abs(sup.trajectory.amplitudes
-                         - cz_sup.trajectory.amplitudes)) < 1e-13
-    assert np.max(np.abs(sup.final - cz_sup.final)) < 1e-13
-    assert sup.leakage == pytest.approx(cz_sup.leakage, abs=1e-13)
+    assert run.trajectory.amplitudes.shape == (n, 8)
+    assert run.final.shape == (8,)
+    for figures in (run.phases, run.returns, run.leakages):
+        assert figures.shape == (4,) and np.all(np.isfinite(figures))
+    assert np.array_equal(run.trajectory.amplitudes,
+                          cz_sup.trajectory.amplitudes)
 
 
 def test_gate_run_extracts_phases_once(monkeypatch, tmp_path, capsys):
@@ -417,7 +401,7 @@ def test_gate_run_extracts_phases_once(monkeypatch, tmp_path, capsys):
 
     for module in (dynamics, cli):
         monkeypatch.setattr(module, "extract_phases", counting)
-    run_cz(GATE_STATES, PARAMS)
+    run_cz(RegisterState.logical_superposition(), PARAMS)
     assert len(calls) == 0
     assert cli.main(["gate-sim", "--out", str(tmp_path / "traj.csv")]) == 0
     capsys.readouterr()
@@ -429,8 +413,8 @@ def test_final_phases_match_folded_ref(params):
     # np.angle of the co-moving final state against the oracle's last
     # unwrapped phase folded into (-pi, pi], wherever the final amplitude
     # carries a phase; epsilon is opened so no schedule is refused
-    runs = run_cz(GATE_STATES, replace(params, epsilon=1.0))
-    for run in runs:
+    for state in GATE_STATES:
+        run = run_cz(state, replace(params, epsilon=1.0))
         traj = run.trajectory
         _, valid, final = oracles.extract_phases_ref(traj.amplitudes, 1e-6)
         got = np.angle(run.final)
@@ -439,16 +423,74 @@ def test_final_phases_match_folded_ref(params):
             assert fold_dev(got[i], final[i]) <= 1e-12
 
 
-def test_block_run_cz_raises_for_first_leaking_state():
+def gate_sweep_point(seed):
+    """A gate point drawn as the gate-sweep benchmark draws them."""
+    rng = random.Random(seed)
+    g1 = 5e9 + 1.5e10 * rng.random()
+    g2 = g1 * (0.8 + 0.15 * rng.random())
+    delta_max = g1 * (100.0 + 300.0 * rng.random())
+    return GateParams(g1=g1, g2=g2, delta_max=delta_max,
+                      D_g=2.0 * math.pi * 2.87e9)
+
+
+def truth_lines(phases, returns, leakages):
+    """gate-sim's two renderings of each truth-table row."""
+    rows = zip(phases, dynamics.cz_phase_error(phases), returns, leakages)
+    return [(f"phase={p:.6f} rad, dev={d:.2e} rad, return={r:.6f}, "
+             f"leakage={l:.3e}", f"{p:+.5f}  {d:.3e}  {r:.6f}  {l:.3e}")
+            for p, d, r, l in rows]
+
+
+@pytest.mark.parametrize("params", [
+    PARAMS, GateParams(guard="fixed", epsilon=0.05),
+    *(gate_sweep_point(seed) for seed in range(1, 9))],
+    ids=["default", "fixed", *(f"seed{seed}" for seed in range(1, 9))])
+def test_superposition_truth_table_equals_basis_runs(params):
+    # H keeps each logical state in its own block, so the superposition
+    # carries every basis state's run at half amplitude and one run
+    # gives the truth table of four
+    sup = run_cz(RegisterState.logical_superposition(), params)
+    runs = [run_cz(RegisterState.basis(i), params) for i in range(4)]
+    alone = [[getattr(run, name)[i] for i, run in enumerate(runs)]
+             for name in ("phases", "returns", "leakages")]
+    assert truth_lines(sup.phases, sup.returns, sup.leakages) == (
+        truth_lines(*alone))
+    for i, run in enumerate(runs):
+        block = [i] + [j for b, j, _ in dynamics._COUPLING_PAIRS if b == i]
+        half = 0.5 * run.trajectory.amplitudes[:, block]
+        assert np.max(np.abs(sup.trajectory.amplitudes[:, block] - half)) <= 1e-15
+        # a basis run reads only its own state
+        assert np.isnan(np.delete(run.leakages, i)).all()
+
+
+def test_superposition_run_cz_raises_for_first_leaking_state():
     # shallow parking: the dark state never leaks, |+1,g2> and |g1,g2>
-    # both do; the block reports the first of them in its own order
+    # both do; the superposition reports the first of them in basis
+    # order, with the leakage of that state's own run
     params = GateParams(delta_max=1e11)
     run_cz(RegisterState.basis(3), params)
-    with pytest.raises(GateFailure) as single:
+    with pytest.raises(GateFailure):
         run_cz(RegisterState.basis(2), params)
-    with pytest.raises(GateFailure) as block:
-        run_cz([RegisterState.basis(i) for i in (3, 2, 0)], params)
-    assert str(block.value) == str(single.value)
+    with pytest.raises(GateFailure) as single:
+        run_cz(RegisterState.basis(0), params)
+    with pytest.raises(GateFailure) as sup:
+        run_cz(RegisterState.logical_superposition(), params)
+    assert str(sup.value) == str(single.value)
+    assert str(sup.value).startswith(
+        "population left outside the qubit space: 3.324e-01 >")
+
+
+def test_superposition_run_cz_holds_each_block_to_its_norm():
+    # at g1 = 1e5 a record step is 2.7e4 parked radians, and the final
+    # norms of basis runs 0, 1 and 2 drift by +9.0e-10, -3.8e-9 and
+    # +4.6e-9; in the superposition they cancel to +4.2e-10, so only a
+    # per-block test refuses the gate as the basis runs alone do
+    params = GateParams(g1=1e5)
+    for i in (1, 2):
+        with pytest.raises(GateFailure, match="lost the state norm"):
+            run_cz(RegisterState.basis(i), params)
+    with pytest.raises(GateFailure, match="lost the state norm"):
+        run_cz(RegisterState.logical_superposition(), params)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +505,16 @@ def assert_phases_match_ref(traj, floor=dynamics._PHASE_FLOOR):
         assert mine.tobytes() == ref.tobytes()
 
 
+def test_extract_phases_reads_an_evolve_trajectory():
+    # evolve's own trajectory goes straight into extract_phases
+    sched = make_cz_schedule(PARAMS)
+    for state in GATE_STATES:
+        assert_phases_match_ref(evolve(state.amplitudes, sched, PARAMS))
+
+
 @pytest.fixture(scope="module")
 def gate_runs():
-    return run_cz(GATE_STATES, PARAMS)
+    return [run_cz(state, PARAMS) for state in GATE_STATES]
 
 
 @pytest.mark.parametrize("index", range(5))
@@ -604,8 +653,8 @@ def test_phase_gaps_are_flagged_not_nan(cz_sup, monkeypatch):
 
 def test_never_populated_track_reports_zero():
     sched = PulseSchedule((DetuningPulse(1, 0.0, PARAMS.T1),), PARAMS.T1)
-    traj = evolve_one(RegisterState.basis(0).amplitudes, sched,
-                      replace(PARAMS, samples=50))
+    traj = evolve(RegisterState.basis(0).amplitudes, sched,
+                  replace(PARAMS, samples=50))
     phases, valid = extract_phases(traj)
     # |g1 +2> never acquires amplitude from |g1 g2>
     assert not valid[:, 1].any()
