@@ -27,9 +27,8 @@ from .chain import (VALIDITY_LIMIT, QuadratureError, coupling_kappa,
                     dispersion, fit_loglinear, overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
 from .core import CONSTANTS, HBAR_EV_S, wavelength_to_freq
-from .dynamics import (GateFailure, RegisterState, aux_leakage,
-                       cz_phase_error, extract_phases, logical_populations,
-                       run_cz)
+from .dynamics import (GateFailure, RegisterState, cz_phase_error,
+                       extract_phases, run_cz)
 from .wgm import NoSolutionError, radial_residual, solve_disk, solve_mode
 
 # a run too large for memory is refused as a numerical failure too
@@ -48,9 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class ResultTable:
+    # rows: cell lists, or an (n, width) float array; blank: its empty cells
     columns: list
-    rows: list
+    rows: list | np.ndarray
     metadata: dict
+    blank: np.ndarray | None = None
 
 
 def _fmt(value) -> str:
@@ -61,37 +62,62 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cell_rows(rows, blank) -> list:
+    """Float array rows as cell lists, None at each blank cell."""
+    cells = rows.tolist()
+    for n, i in zip(*np.nonzero(blank)) if blank is not None else ():
+        cells[n][i] = None
+    return cells
+
+
+def _csv_lines(rows) -> str:
+    """Cell lists as CSV lines, one '%' through a template per row type
+    signature: a float is '%.12g', _fmt's digits; None a blank taking no
+    argument; else '%s' (ints too: '%.12g' prints 10**13 as '1e+13')."""
+    pieces, cells = [], []
+    templates = {}   # row type signature -> (template, has a blank)
+    for row in rows:
+        kinds = tuple(map(type, row))
+        entry = templates.get(kinds)
+        if entry is None:
+            entry = templates[kinds] = (",".join(
+                "%.12g" if issubclass(k, float)
+                else "" if k is type(None) else "%s" for k in kinds),
+                type(None) in kinds)
+        template, blank = entry
+        pieces.append(template)
+        cells.extend([v for v in row if v is not None] if blank else row)
+    pieces.append("")
+    return "\n".join(pieces) % tuple(cells)
+
+
 def _write_table(table: ResultTable, stream, fmt: str) -> None:
+    """CSV (# metadata, header, a line per row) or its JSON mirror.  Array
+    rows go 128 to a write, a block with no blank as one '%.12g' line."""
+    rows, blank = table.rows, table.blank
     if fmt == "csv":
-        # the whole text is one '%' operation and one write, through one
-        # template per row type signature: a float (np.float64 too) is
-        # '%.12g', the digits _fmt gives; None is a blank field that takes
-        # no argument; anything else is '%s' (an int too: '%.12g' prints
-        # 10**13 as '1e+13')
-        head = "".join(f"# {key}: {value}\n"
-                       for key, value in table.metadata.items())
-        pieces, cells = ["%s"], [head + ",".join(table.columns)]
-        templates = {}   # row type signature -> (template, has a blank)
-        for row in table.rows:
-            kinds = tuple(map(type, row))
-            entry = templates.get(kinds)
-            if entry is None:
-                entry = templates[kinds] = (",".join(
-                    "%.12g" if issubclass(k, float)
-                    else "" if k is type(None) else "%s" for k in kinds),
-                    type(None) in kinds)
-            template, blank = entry
-            pieces.append(template)
-            cells.extend([v for v in row if v is not None] if blank else row)
-        pieces.append("")
-        stream.write("\n".join(pieces) % tuple(cells))
+        stream.write("".join(f"# {key}: {value}\n"
+                             for key, value in table.metadata.items())
+                     + ",".join(table.columns) + "\n")
+        if not isinstance(rows, np.ndarray):
+            stream.write(_csv_lines(rows))
+            return
+        line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+        for lo in range(0, len(rows), 128):
+            block = rows[lo:lo + 128]
+            if blank is None or not blank[lo:lo + 128].any():
+                stream.write(line * len(block) % tuple(block.ravel().tolist()))
+            else:
+                stream.write(_csv_lines(_cell_rows(block, blank[lo:lo + 128])))
     else:
+        if isinstance(rows, np.ndarray):
+            rows = _cell_rows(rows, blank)
         doc = {
             "metadata": {k: (_fmt(v) if isinstance(v, float) else v)
                          for k, v in table.metadata.items()},
             "columns": table.columns,
             "rows": [[(_fmt(v) if isinstance(v, float) else v) for v in row]
-                     for row in table.rows],
+                     for row in rows],
         }
         json.dump(doc, stream, sort_keys=True, indent=1)
         stream.write("\n")
@@ -205,8 +231,7 @@ def cmd_dispersion(cfg: SimConfig, args) -> int:
     kappa = coupling_kappa(ints, omega)
 
     kl = np.linspace(-math.pi, math.pi, 41)
-    band = dispersion(omega, ints, kl)
-    rows = [[float(x), float(w)] for x, w in zip(kl, band)]
+    rows = np.column_stack((kl, dispersion(omega, ints, kl)))
 
     meta = _base_metadata("dispersion", cfg, args)
     meta.update({
@@ -231,15 +256,10 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
     run = run_cz(RegisterState.logical_superposition(), params)
 
     traj = run.trajectory
-    tracks, valid = extract_phases(traj)
-    pops = logical_populations(traj.amplitudes)
-    aux = aux_leakage(traj.amplitudes)
-    scale = params.omega_a0
-
-    rows = np.column_stack(
-        (traj.times * scale, pops, aux, tracks[:, :4])).tolist()
-    for n, i in zip(*np.nonzero(~valid[:, :4])):
-        rows[n][6 + i] = None
+    mag = np.abs(traj.amplitudes)   # the phase mask, populations and p_aux
+    tracks, valid = extract_phases(traj.amplitudes[:, :4], mag[:, :4])
+    rows = np.column_stack((traj.times * params.omega_a0, mag[:, :4] ** 2,
+                            np.sum(mag[:, 4:] ** 2, axis=-1), tracks))
 
     meta = _base_metadata("gate-sim", cfg, args)
     meta.update({
@@ -248,7 +268,7 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
         "delta_max_rad_s": _fmt(params.delta_max),
         "guard": params.guard,
         "duration_s": _fmt(run.schedule.duration),
-        "time_unit_s": _fmt(1.0 / scale),
+        "time_unit_s": _fmt(1.0 / params.omega_a0),
     })
     truth = list(zip(run.phases, cz_phase_error(run.phases), run.returns,
                      run.leakages))
@@ -260,7 +280,7 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
     table = ResultTable(
         columns=["t", "p00", "p01", "p10", "p11", "p_aux",
                  "phase00", "phase01", "phase10", "phase11"],
-        rows=rows, metadata=meta)
+        rows=rows, metadata=meta, blank=np.pad(~valid, ((0, 0), (6, 0))))
     _emit(table, args)
 
     if args.out:

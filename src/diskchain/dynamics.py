@@ -345,19 +345,20 @@ def build_hamiltonian(t: float, params: GateParams,
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) from matrix products only (Moler & Van Loan, SIAM Rev. 45, 3
-    (2003)): a degree-16 Taylor polynomial of a / 2^s, ||a / 2^s||_1 < 1/2
-    (truncation below 1e-19), squared back s times.  A zero row and column
-    of a stay an exact identity row and column of the result."""
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    s = max(0, math.frexp(norm)[1] + 1)
-    b = a / 2.0 ** s
-    eye = np.eye(a.shape[0], dtype=complex)
+    """exp of each matrix of a (k, m, m) stack by products only (Moler & Van
+    Loan, SIAM Rev. 45, 3 (2003)): a degree-16 Taylor polynomial of a / 2^s,
+    ||a / 2^s||_1 < 1/2 (truncation below 1e-19), squared back s times, s
+    each matrix's own.  A zero row and column of a stay identity ones."""
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    s = np.maximum(0, np.frexp(norm)[1] + 1)
+    with np.errstate(over="raise"):   # past 2**1023, a clean error
+        b = a / (2.0 ** s)[:, None, None]
+    eye = np.eye(a.shape[-1], dtype=complex)
     u = eye
     for k in range(16, 0, -1):
         u = eye + (b / k) @ u
-    for _ in range(s):
-        u = u @ u
+    for j in range(s.max()):
+        u[s > j] = u[s > j] @ u[s > j]
     return u
 
 
@@ -409,12 +410,14 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
         raise MemoryError(f"{rows:.3g} records are more than numpy can "
                           "address") from exc
     amps[0] = c0
-    times, thetas = np.zeros(rows), np.zeros((rows, 8))
+    hs = [build_hamiltonian(0.5 * (a + b), params, schedule)
+          for a, b, _ in spans]
+    steps = _expm(np.array([-1j * ((b - a) / n) * h
+                            for (a, b, n), h in zip(spans, hs)]))
+    times, theta = np.zeros(rows), np.zeros(8)
     i = 1
-    for a, b, n in spans:
-        h = build_hamiltonian(0.5 * (a + b), params, schedule)
-        diag = np.real(np.diag(h))
-        p = _expm(-1j * ((b - a) / n) * h).T
+    for (a, b, n), h, step in zip(spans, hs, steps):
+        p = step.T
         seg = amps[i - 1:i + n]  # start state, then n records
         f = 1
         while f <= n:
@@ -423,10 +426,12 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
             f += m
             p = p @ p
         times[i:i + n] = np.append(a + ((b - a) / n) * np.arange(1, n), b)
-        thetas[i:i + n] = thetas[i - 1] + np.outer(times[i:i + n] - a, diag)
+        # to the co-moving frame in place, but for the next segment's start
+        phase = theta + np.outer(times[i - 1:i + n] - a, np.real(np.diag(h)))
+        theta = phase[-1]
+        seg[:-1] *= np.exp(1j * phase[:-1])
         i += n
-
-    amps *= np.exp(1j * thetas)   # into the co-moving frame, in place
+    amps[-1] *= np.exp(1j * theta)
     return Trajectory(times=times, amplitudes=amps)
 
 
@@ -434,32 +439,37 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
 # phase bookkeeping
 
 
-def extract_phases(trajectory: Trajectory) -> tuple:
-    """(phases, valid), both (n, 8), along a single-state trajectory.
+def extract_phases(amplitudes, magnitude=None) -> tuple:
+    """(phases, valid), both (n, k), along (n, k) co-moving amplitudes.
 
-    phases[n, i] is the unwrapped phase of state i where valid[n, i] is
-    True; where the amplitude sits below _PHASE_FLOOR the last valid value
-    is carried forward (never NaN) and the mask flags the gap.  Phase
-    continuity is never assumed across a gap: each contiguous valid run
-    is unwrapped on its own.  A run's final phases need none of this:
-    they are np.angle(CzResult.final).
+    phases[n, i] is the unwrapped phase of column i where valid[n, i] is
+    True; where |amplitude| (magnitude, when given) is below _PHASE_FLOOR
+    the last valid value is carried forward (never NaN) and the mask flags
+    the gap.  Phase continuity is never assumed across a gap: each
+    contiguous valid run is unwrapped on its own.  A run's final phases
+    need none of this: they are np.angle(CzResult.final).
     """
-    amps = trajectory.amplitudes
-    angle = np.angle(amps)
-    valid = np.abs(amps) >= _PHASE_FLOOR
-    n = amps.shape[0]
-    # each contiguous valid run [start, stop) of a column is unwrapped on
-    # its own; nonzero lists starts and stops in the same (column, row) order
+    angle = np.angle(amplitudes)
+    valid = (np.abs(amplitudes) if magnitude is None
+             else magnitude) >= _PHASE_FLOOR
+    # a run from row 0 is a prefix of its column, and a prefix's cumulative
+    # sum is the prefix of the column's: one unwrap serves every such run
+    phases = np.unwrap(angle, axis=0)
+    if valid.all():
+        return phases, valid
+    n, k = valid.shape
+    # each other run [start, stop) is unwrapped on its own; nonzero lists
+    # starts and stops in the same (column, row) order
     step = np.diff(valid.T.astype(np.int8), axis=1, prepend=0, append=0)
     cols, starts = np.nonzero(step == 1)
     stops = np.nonzero(step == -1)[1]
-    phases = np.zeros((n, 8))
-    for i, j, k in zip(cols.tolist(), starts.tolist(), stops.tolist()):
-        phases[j:k, i] = np.unwrap(angle[j:k, i])
+    for i, j, m in zip(cols.tolist(), starts.tolist(), stops.tolist()):
+        if j:
+            phases[j:m, i] = np.unwrap(angle[j:m, i])
     # a gap carries the last valid phase forward (0 before the first run)
     last = np.maximum.accumulate(
         np.where(valid, np.arange(n)[:, None], -1), axis=0)
-    phases = np.where(last >= 0, phases[np.maximum(last, 0), np.arange(8)], 0.0)
+    phases = np.where(last >= 0, phases[np.maximum(last, 0), np.arange(k)], 0.0)
     return phases, valid
 
 

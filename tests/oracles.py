@@ -125,17 +125,18 @@ def propagate_ref(h: np.ndarray, t: float, c0: np.ndarray) -> np.ndarray:
 
 
 def extract_phases_ref(amplitudes, floor: float):
-    """(phases, valid, final) of the phase tracks of co-moving amplitudes,
-    walked element by element: each contiguous run where |amplitude| >=
-    floor is unwrapped on its own, a gap repeats the last valid phase (0
-    before the first run), and final folds each column's last valid phase
-    into (-pi, pi] (0 for a column that is never valid)."""
+    """(phases, valid, final) of the phase tracks of (n, k) co-moving
+    amplitudes, walked element by element: each contiguous run where
+    |amplitude| >= floor is unwrapped on its own, a gap repeats the last
+    valid phase (0 before the first run), and final folds each column's
+    last valid phase into (-pi, pi] (0 for a column that is never
+    valid)."""
     w = np.asarray(amplitudes)
     valid = np.abs(w) >= floor
-    n = amplitudes.shape[0]
-    phases = np.zeros((n, 8))
-    final = np.zeros(8)
-    for i in range(8):
+    n, k = w.shape
+    phases = np.zeros((n, k))
+    final = np.zeros(k)
+    for i in range(k):
         col = valid[:, i]
         last = 0.0
         j = 0
@@ -144,13 +145,13 @@ def extract_phases_ref(amplitudes, floor: float):
                 phases[j, i] = last
                 j += 1
                 continue
-            k = j
-            while k < n and col[k]:
-                k += 1
-            run = np.unwrap(np.angle(w[j:k, i]))
-            phases[j:k, i] = run
+            m = j
+            while m < n and col[m]:
+                m += 1
+            run = np.unwrap(np.angle(w[j:m, i]))
+            phases[j:m, i] = run
             last = float(run[-1])
-            j = k
+            j = m
         idx = np.nonzero(col)[0]
         if idx.size:
             out = math.remainder(float(phases[idx[-1], i]), 2.0 * math.pi)

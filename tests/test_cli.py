@@ -8,10 +8,12 @@ from pathlib import Path
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
@@ -256,6 +258,39 @@ def test_gate_sim_p_aux_is_the_direct_aux_sum(capsys, tmp_path):
         # at the 12 printed digits
         assert float(row[col]) == pytest.approx(float(f"{want:.12g}"),
                                                 rel=1e-12, abs=0.0)
+
+
+def test_gate_sim_out_memory_peak(capsys, tmp_path):
+    # the trajectory goes from propagator to file in array passes, written
+    # in 128-row blocks: one default gate-sim --out call peaks at about
+    # 500 KiB of Python allocations, against about 1,200 KiB when the
+    # whole table was formatted as one string of row lists
+    argv = ["gate-sim", "--out", str(tmp_path / "traj.csv")]
+    assert run(capsys, argv)[0] == 0   # imports and caches, not measured
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 800 * 1024
+
+
+def test_gate_sim_step_past_float_range_is_a_numerical_failure(capsys,
+                                                               tmp_path):
+    # at g1 = 1e-290 rad/s a record step lasts about 1e287 s, and with
+    # D_g = 3e19 rad/s its propagator's 1-norm passes 2**1023, where the
+    # scaling 2**s overflows: one line and exit 2, not a traceback
+    p = tmp_path / "huge-step.ini"
+    p.write_text("[gate]\ng1 = 1e-290 rad_s\ng2 = 0.9e-290 rad_s\n"
+                 "delta_max = 1e-289 rad_s\nomega_a0 = 1 rad_s\n"
+                 "d_g = 3e19 rad_s\n[pulses]\nguard = fixed\n")
+    code, out, err = run(capsys, ["gate-sim", "--config", str(p)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "diskchain: numerical failure: overflow encountered in power"]
 
 
 def test_gate_sim_csv_and_json_agree(capsys, tmp_path):
@@ -696,19 +731,65 @@ def _tables(draw):
                        metadata=meta)
 
 
+@st.composite
+def _array_tables(draw):
+    """All-float tables: one float array, around the writer's 128-row
+    blocks, with no blank mask or a drawn one."""
+    shape = (draw(st.sampled_from([0, 1, 2, 127, 128, 129, 257])),
+             draw(st.integers(0, 5)))
+    rows = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.floats(), st.sampled_from([-0.0, 5e-324, math.inf, -math.inf]))))
+    blank = draw(st.none() | hnp.arrays(np.bool_, shape))
+    return ResultTable(columns=[f"c{i}" for i in range(shape[1])],
+                       rows=rows, metadata={"n": shape[0]}, blank=blank)
+
+
+def _array_table(n, blanks=()):
+    """An n-row all-float table whose cells run through the special
+    values, blank at each (row, column) of blanks."""
+    special = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 0.1, 1e308, 3.0]
+    rows = np.resize(np.array(special), (n, 4))
+    blank = np.zeros(rows.shape, dtype=bool)
+    for cell in blanks:
+        blank[cell] = True
+    return ResultTable(columns=["a", "b", "c", "d"], rows=rows,
+                       metadata={"x": 0.1}, blank=blank)
+
+
+def _cells(table):
+    """The table with list rows, None at each blank: what the cell-by-cell
+    reference reads."""
+    rows = table.rows
+    if isinstance(rows, np.ndarray):
+        blank = (np.zeros(rows.shape, dtype=bool) if table.blank is None
+                 else table.blank)
+        rows = [[None if gap else v for v, gap in zip(row, gaps)]
+                for row, gaps in zip(rows.tolist(), blank.tolist())]
+    return ResultTable(columns=table.columns, rows=rows,
+                       metadata=table.metadata)
+
+
 def _both_writers(table, fmt):
     mine, ref = io.StringIO(), io.StringIO()
     cli._write_table(table, mine, fmt)
-    oracles.write_table_ref(table, ref, fmt)
+    oracles.write_table_ref(_cells(table), ref, fmt)
     return mine.getvalue(), ref.getvalue()
 
 
-@given(table=_tables())
+@given(table=_tables() | _array_tables())
 @example(table=ResultTable(
     columns=["a", "b", "c", "d"],
     rows=[[-0.0, 5e-324, 1e308, math.inf], [math.nan, 10 ** 13, None, "x"],
           [1.0, 2, "3", None], [], [0.1, 0.2, 0.3, -math.inf]],
     metadata={"n": 3, "x": 0.1, "none": None}))
+# 0 to 257 rows; a NaN (printed nan, never blank) beside blanks; blanks in
+# the first and the last row of a block, and a one-row block all blank
+@example(table=_array_table(0))
+@example(table=_array_table(127, [(0, 1), (126, 3)]))
+@example(table=_array_table(128, [(127, 0)]))
+@example(table=_array_table(129, [(128, 2)]))
+@example(table=_array_table(257, [(0, 0), (127, 1), (128, 2), (255, 3),
+                                  (256, 0), (256, 1), (256, 2), (256, 3)]))
 @settings(max_examples=200, deadline=None)
 def test_table_writer_matches_cell_by_cell_ref(table):
     for fmt in ("csv", "json"):
@@ -740,8 +821,8 @@ def test_gate_sim_table_matches_cell_by_cell_ref(capsys, monkeypatch,
     code, out, _ = run(capsys, argv)
     assert code == 0
     (table,) = tables
-    assert len(table.rows) == 1201
-    assert any(None in row for row in table.rows) == bool(text)
+    assert table.rows.shape == (1201, 10)
+    assert table.blank.any() == bool(text)
     assert out == _both_writers(table, "csv")[1]
     mine, ref = _both_writers(table, "json")
     assert mine == ref

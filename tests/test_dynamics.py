@@ -236,6 +236,32 @@ def test_evolve_matches_expm_oracle():
                                      - np.exp(1j * theta) * c[:, i])) < 1e-10
 
 
+def test_stacked_expm_matches_one_matrix_at_a_time():
+    # every matrix keeps its own scaling s and squarings, so a stack gives
+    # each the bits it gets alone: the zero matrix, 1-norms 1/8 (s = 0) to
+    # 512 across powers of two, and the default gate's segment matrices
+    rng = np.random.default_rng(7)
+    base = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    base /= np.max(np.sum(np.abs(base), axis=0))
+    sched = make_cz_schedule(PARAMS)
+    edges = sorted({0.0, sched.duration} | {e for p in sched.pulses
+                                             for e in (p.t_on, p.t_off)})
+    segments = [-1j * ((b - a) / 100) * build_hamiltonian(0.5 * (a + b),
+                                                         PARAMS, sched)
+                for a, b in zip(edges[:-1], edges[1:])]
+    stack = np.array([np.zeros((8, 8), dtype=complex)]
+                     + [base * 2.0 ** e for e in (-3, -1, 0, 0.5, 1, 2, 5, 9)]
+                     + segments)
+    got = dynamics._expm(stack)
+    assert got.shape == stack.shape
+    for a, u in zip(stack, got):
+        assert u.tobytes() == dynamics._expm(a[None])[0].tobytes()
+    assert np.array_equal(got[0], np.eye(8))
+    for a, u in zip(stack[1:], got[1:]):
+        want = oracles.propagate_ref(1j * a, 1.0, np.eye(8))
+        assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # segment lengths around the doubling's steps: one record, and every
 # 2^k - 1, 2^k and 2^k + 1 up to 1025
 DOUBLING_LENGTHS = sorted({1} | {2 ** k + d for k in range(1, 11)
@@ -267,7 +293,7 @@ def test_doubled_records_match_sequential_steps(n):
     theta = np.where(t <= t1, d1 * t, d1 * t1 + d2 * (t - t1))
     steps = [starts.T]
     for h in hs:
-        u = dynamics._expm(-1j * (t1 / n) * h)
+        u = dynamics._expm((-1j * (t1 / n) * h)[None])[0]
         for _ in range(n):
             steps.append(u @ steps[-1])
     seq = np.exp(1j * theta)[:, None, :] * np.transpose(steps, (0, 2, 1))
@@ -322,7 +348,7 @@ def test_target_pi_window_returns_population():
     # the minus sign of a full pi, up to the spectator ac-Stark phase
     # g1^2/delta * T2 ~ 0.03 rad that only the full calibrated sequence
     # cancels
-    phases, valid = extract_phases(traj)
+    phases, valid = extract_phases(traj.amplitudes)
     assert valid[-1, 0]
     assert fold_dev(phases[-1, 0], math.pi) < 0.05
 
@@ -332,7 +358,7 @@ def test_control_half_window_transfers_population():
     traj = evolve(RegisterState.basis(0).amplitudes, sched,
                   replace(PARAMS, samples=100))
     assert abs(traj.final[4]) ** 2 > 0.999
-    phases, valid = extract_phases(traj)
+    phases, valid = extract_phases(traj.amplitudes)
     assert valid[-1, 4]
     assert fold_dev(phases[-1, 4], -math.pi / 2.0) < 0.03
 
@@ -362,13 +388,14 @@ def test_run_cz_fails_loudly_when_parking_is_too_shallow():
 
 
 def test_run_cz_propagates_once(monkeypatch, cz_sup):
-    calls = {"evolve": 0, "_expm": 0}
+    # one evolve, and one _expm call on the stack of every segment's matrix
+    calls = {"evolve": [], "_expm": []}
 
     def counting(name):
         fn = getattr(dynamics, name)
 
         def count(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(args[0])
             return fn(*args, **kwargs)
         return count
 
@@ -378,7 +405,9 @@ def test_run_cz_propagates_once(monkeypatch, cz_sup):
     sched = make_cz_schedule(PARAMS)
     edges = {0.0, sched.duration} | {e for p in sched.pulses
                                       for e in (p.t_on, p.t_off)}
-    assert calls == {"evolve": 1, "_expm": len(edges) - 1}
+    assert len(calls["evolve"]) == 1
+    (stack,) = calls["_expm"]
+    assert stack.shape == (len(edges) - 1, 8, 8)
 
     # one (n, 8) trajectory, and the truth table of all four states
     n = len(cz_sup.trajectory.times)
@@ -497,19 +526,23 @@ def test_superposition_run_cz_holds_each_block_to_its_norm():
 # phase extraction against the element-by-element walk
 
 
-def assert_phases_match_ref(traj, floor=dynamics._PHASE_FLOOR):
-    got = extract_phases(traj)
-    want = oracles.extract_phases_ref(traj.amplitudes, floor)[:2]
-    for mine, ref in zip(got, want):
-        assert mine.dtype == ref.dtype and mine.shape == ref.shape
-        assert mine.tobytes() == ref.tobytes()
+def assert_phases_match_ref(amps, floor=dynamics._PHASE_FLOOR):
+    # all eight columns and the four logical ones gate-sim passes, with the
+    # magnitude computed inside and handed in
+    for cols in (amps, amps[:, :4]):
+        want = oracles.extract_phases_ref(cols, floor)[:2]
+        for got in (extract_phases(cols), extract_phases(cols, np.abs(cols))):
+            for mine, ref in zip(got, want):
+                assert mine.dtype == ref.dtype and mine.shape == ref.shape
+                assert mine.tobytes() == ref.tobytes()
 
 
 def test_extract_phases_reads_an_evolve_trajectory():
     # evolve's own trajectory goes straight into extract_phases
     sched = make_cz_schedule(PARAMS)
     for state in GATE_STATES:
-        assert_phases_match_ref(evolve(state.amplitudes, sched, PARAMS))
+        traj = evolve(state.amplitudes, sched, PARAMS)
+        assert_phases_match_ref(traj.amplitudes)
 
 
 @pytest.fixture(scope="module")
@@ -519,35 +552,55 @@ def gate_runs():
 
 @pytest.mark.parametrize("index", range(5))
 def test_phases_match_ref_on_gate_runs(gate_runs, index):
-    assert_phases_match_ref(gate_runs[index].trajectory)
+    assert_phases_match_ref(gate_runs[index].trajectory.amplitudes)
 
 
 def test_phases_match_ref_above_raised_floor(gate_runs, monkeypatch):
     monkeypatch.setattr(dynamics, "_PHASE_FLOOR", 0.05)
     for run in gate_runs:
-        assert_phases_match_ref(run.trajectory, floor=0.05)
+        assert_phases_match_ref(run.trajectory.amplitudes, floor=0.05)
+
+
+def test_phases_match_ref_on_the_fixed_gap_blank_cells():
+    # the fixed-gap schedule leaves logical amplitudes below the floor,
+    # the blank phase cells of its gate-sim table
+    run = run_cz(RegisterState.logical_superposition(),
+                 GateParams(guard="fixed", epsilon=0.05))
+    amps = run.trajectory.amplitudes
+    assert not extract_phases(amps[:, :4])[1].all()
+    assert_phases_match_ref(amps)
+
+
+def winding_amplitudes(valid, seed=5):
+    """Unit amplitudes where valid, 1e-9 elsewhere, with phases that wind
+    fast enough to need unwrapping."""
+    rng = np.random.default_rng(seed)
+    winding = np.cumsum(rng.uniform(1.0, 3.0, size=valid.shape), axis=0)
+    return np.where(valid, 1.0, 1e-9) * np.exp(1j * winding)
 
 
 def test_phases_match_ref_across_gaps():
-    # per column: gap at the start, in the middle, at the end, never
+    # per column: gap at row 0, in the middle, on the last row only, never
     # valid, always valid, alternating single records, valid at the last
-    # record only, several gaps; phases wind fast enough to need unwrapping
+    # record only, several gaps and one to the end
     n = 40
-    rng = np.random.default_rng(5)
     valid = np.ones((n, 8), dtype=bool)
     valid[:6, 0] = False
     valid[15:22, 1] = False
-    valid[33:, 2] = False
+    valid[-1, 2] = False
     valid[:, 3] = False
     valid[::2, 5] = False
     valid[:-1, 6] = False
-    valid[[3, 4, 10, 20, 21, 22, 39], 7] = False
-    winding = np.cumsum(rng.uniform(1.0, 3.0, size=(n, 8)), axis=0)
-    amps = np.where(valid, 1.0, 1e-9) * np.exp(1j * winding)
-    traj = dynamics.Trajectory(times=np.arange(n, dtype=float),
-                               amplitudes=amps)
-    assert_phases_match_ref(traj)
-    assert not extract_phases(traj)[1][:, 3].any()
+    valid[[3, 4, 10, 20, 21, 22, 33, 34, 35, 36, 37, 38, 39], 7] = False
+    amps = winding_amplitudes(valid)
+    assert_phases_match_ref(amps)
+    assert np.array_equal(extract_phases(amps)[1], valid)
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_phases_match_ref_with_nothing_masked(n):
+    # no gap anywhere: the one unwrap is the whole answer
+    assert_phases_match_ref(winding_amplitudes(np.ones((n, 8), dtype=bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +662,7 @@ def test_dark_state_untouched(cz_sup):
     # its diagonal entry is exactly zero by the frame choice, so its
     # co-moving amplitude holds still bit for bit
     assert np.all(traj.amplitudes[:, DARK_INDEX] == 0.5)
-    phases, _ = extract_phases(traj)
+    phases, _ = extract_phases(traj.amplitudes)
     assert np.max(np.abs(phases[:, DARK_INDEX])) < 1e-6
 
 
@@ -644,7 +697,7 @@ def test_phase_gaps_are_flagged_not_nan(cz_sup, monkeypatch):
     # floor above that residue has to open a flagged gap, keep every
     # phase finite, and still end the track near pi
     monkeypatch.setattr(dynamics, "_PHASE_FLOOR", 0.05)
-    phases, valid = extract_phases(cz_sup.trajectory)
+    phases, valid = extract_phases(cz_sup.trajectory.amplitudes)
     assert np.all(np.isfinite(phases))
     assert not valid[:, 1].all()
     assert valid[-1, 1]
@@ -655,7 +708,7 @@ def test_never_populated_track_reports_zero():
     sched = PulseSchedule((DetuningPulse(1, 0.0, PARAMS.T1),), PARAMS.T1)
     traj = evolve(RegisterState.basis(0).amplitudes, sched,
                   replace(PARAMS, samples=50))
-    phases, valid = extract_phases(traj)
+    phases, valid = extract_phases(traj.amplitudes)
     # |g1 +2> never acquires amplitude from |g1 g2>
     assert not valid[:, 1].any()
     assert np.all(phases[:, 1] == 0.0)
