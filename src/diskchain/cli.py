@@ -27,8 +27,9 @@ from .chain import (VALIDITY_LIMIT, QuadratureError, coupling_kappa,
                     dispersion, fit_loglinear, overlap_integrals)
 from .config import ConfigError, SimConfig, load_config
 from .core import CONSTANTS, HBAR_EV_S, wavelength_to_freq
-from .dynamics import (GateFailure, RegisterState, cz_phase_error,
-                       extract_phases, run_cz)
+from .dynamics import (GateFailure, RegisterState, aux_leakage,
+                       cz_phase_error, extract_phases, logical_populations,
+                       run_cz)
 from .wgm import NoSolutionError, radial_residual, solve_disk, solve_mode
 
 # a run too large for memory is refused as a numerical failure too
@@ -256,10 +257,10 @@ def cmd_gate_sim(cfg: SimConfig, args) -> int:
     run = run_cz(RegisterState.logical_superposition(), params)
 
     traj = run.trajectory
-    mag = np.abs(traj.amplitudes)   # the phase mask, populations and p_aux
-    tracks, valid = extract_phases(traj.amplitudes[:, :4], mag[:, :4])
-    rows = np.column_stack((traj.times * params.omega_a0, mag[:, :4] ** 2,
-                            np.sum(mag[:, 4:] ** 2, axis=-1), tracks))
+    tracks, valid = extract_phases(traj.amplitudes[:, :4])
+    rows = np.column_stack((traj.times * params.omega_a0,
+                            logical_populations(traj.amplitudes),
+                            aux_leakage(traj.amplitudes), tracks))
 
     meta = _base_metadata("gate-sim", cfg, args)
     meta.update({

@@ -345,20 +345,20 @@ def build_hamiltonian(t: float, params: GateParams,
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (k, m, m) stack by products only (Moler & Van
-    Loan, SIAM Rev. 45, 3 (2003)): a degree-16 Taylor polynomial of a / 2^s,
-    ||a / 2^s||_1 < 1/2 (truncation below 1e-19), squared back s times, s
-    each matrix's own.  A zero row and column of a stay identity ones."""
-    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
-    s = np.maximum(0, np.frexp(norm)[1] + 1)
+    """exp(a) from matrix products only (Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)): a degree-16 Taylor polynomial of a / 2^s, ||a / 2^s||_1 < 1/2
+    (truncation below 1e-19), squared back s times.  A zero row and column
+    of a stay an exact identity row and column of the result."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    s = max(0, math.frexp(norm)[1] + 1)
     with np.errstate(over="raise"):   # past 2**1023, a clean error
-        b = a / (2.0 ** s)[:, None, None]
-    eye = np.eye(a.shape[-1], dtype=complex)
+        b = a / np.power(2.0, s)
+    eye = np.eye(a.shape[0], dtype=complex)
     u = eye
     for k in range(16, 0, -1):
         u = eye + (b / k) @ u
-    for j in range(s.max()):
-        u[s > j] = u[s > j] @ u[s > j]
+    for _ in range(s):
+        u = u @ u
     return u
 
 
@@ -410,14 +410,11 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
         raise MemoryError(f"{rows:.3g} records are more than numpy can "
                           "address") from exc
     amps[0] = c0
-    hs = [build_hamiltonian(0.5 * (a + b), params, schedule)
-          for a, b, _ in spans]
-    steps = _expm(np.array([-1j * ((b - a) / n) * h
-                            for (a, b, n), h in zip(spans, hs)]))
     times, theta = np.zeros(rows), np.zeros(8)
     i = 1
-    for (a, b, n), h, step in zip(spans, hs, steps):
-        p = step.T
+    for a, b, n in spans:
+        h = build_hamiltonian(0.5 * (a + b), params, schedule)
+        p = _expm(-1j * ((b - a) / n) * h).T
         seg = amps[i - 1:i + n]  # start state, then n records
         f = 1
         while f <= n:
@@ -439,19 +436,18 @@ def evolve(state, schedule: PulseSchedule, params: GateParams) -> Trajectory:
 # phase bookkeeping
 
 
-def extract_phases(amplitudes, magnitude=None) -> tuple:
+def extract_phases(amplitudes) -> tuple:
     """(phases, valid), both (n, k), along (n, k) co-moving amplitudes.
 
     phases[n, i] is the unwrapped phase of column i where valid[n, i] is
-    True; where |amplitude| (magnitude, when given) is below _PHASE_FLOOR
-    the last valid value is carried forward (never NaN) and the mask flags
-    the gap.  Phase continuity is never assumed across a gap: each
-    contiguous valid run is unwrapped on its own.  A run's final phases
-    need none of this: they are np.angle(CzResult.final).
+    True; where the amplitude sits below _PHASE_FLOOR the last valid value
+    is carried forward (never NaN) and the mask flags the gap.  Phase
+    continuity is never assumed across a gap: each contiguous valid run
+    is unwrapped on its own.  A run's final phases need none of this:
+    they are np.angle(CzResult.final).
     """
     angle = np.angle(amplitudes)
-    valid = (np.abs(amplitudes) if magnitude is None
-             else magnitude) >= _PHASE_FLOOR
+    valid = np.abs(amplitudes) >= _PHASE_FLOOR
     # a run from row 0 is a prefix of its column, and a prefix's cumulative
     # sum is the prefix of the column's: one unwrap serves every such run
     phases = np.unwrap(angle, axis=0)

@@ -263,7 +263,7 @@ def test_gate_sim_p_aux_is_the_direct_aux_sum(capsys, tmp_path):
 def test_gate_sim_out_memory_peak(capsys, tmp_path):
     # the trajectory goes from propagator to file in array passes, written
     # in 128-row blocks: one default gate-sim --out call peaks at about
-    # 500 KiB of Python allocations, against about 1,200 KiB when the
+    # 430 KiB of Python allocations, against about 1,200 KiB when the
     # whole table was formatted as one string of row lists
     argv = ["gate-sim", "--out", str(tmp_path / "traj.csv")]
     assert run(capsys, argv)[0] == 0   # imports and caches, not measured
