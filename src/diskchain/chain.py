@@ -40,6 +40,9 @@ VALIDITY_LIMIT = 0.1
 
 _RTOL = 5e-3         # the quadrature's 0.5 % gate between resolution levels
 _MAX_LEVELS = 5      # levels tried before QuadratureError
+# mesh nodes per block of whole radial rows: 128 KiB per float array, so a
+# block's temporaries (those of hankel1's sweep included) stay near 2 MiB
+_BLOCK_NODES = 2 ** 14
 
 
 class QuadratureError(RuntimeError):
@@ -105,6 +108,9 @@ def _transverse(mode: WgmMode, L: float, n_r: int, n_phi: int) -> tuple:
       with weight 2 dphi inside and dphi at phi = 0 and phi = pi.
 
     The last two need n_phi even, so that phi = pi and phi + pi are nodes.
+    The mesh is evaluated in blocks of whole radial rows, about _BLOCK_NODES
+    nodes each, summing over the blocks: only 1-d arrays outlive a block,
+    so one call peaks near 2 MiB of allocations, not a mesh's worth.
     """
     geo = mode.geometry
     R, m = geo.radius, geo.azimuthal_number
@@ -112,25 +118,30 @@ def _transverse(mode: WgmMode, L: float, n_r: int, n_phi: int) -> tuple:
 
     xg, wg = _gauss_legendre(n_r)
     rho = 0.5 * R * (xg + 1.0)
+    wr = 0.5 * R * wg * rho
     dphi = 2.0 * math.pi / n_phi
     phi = dphi * np.arange(n_phi // 2 + 1)
     wphi = np.full(phi.size, 2.0 * dphi)
     wphi[[0, -1]] = dphi
-    W = (0.5 * R * wg * rho)[:, None] * wphi
+    cos_phi, sin_phi, cos_mphi = np.cos(phi), np.sin(phi), np.cos(m * phi)
+    jr = bessel_j(m, (k * n_eff) * rho) / bessel_j(m, k * n_eff * R)
+    h_r = hankel1(m, k * R)
 
-    # disk-0 interior field, standing-wave azimuthal factor
-    E0 = ((bessel_j(m, (k * n_eff) * rho) / bessel_j(m, k * n_eff * R))[:, None]
-          * np.cos(m * phi))
-
-    # neighbour exterior field evaluated on the disk-0 interior
-    dx = rho[:, None] * np.cos(phi) - L
-    dy = rho[:, None] * np.sin(phi)
-    E1 = ((hankel1(m, k * np.hypot(dx, dy)) / hankel1(m, k * R))
-          * np.cos(m * np.arctan2(dy, dx)))
-
-    I00 = float(np.sum(W * E0 * E0))
-    I01 = float(np.sum(W * E0 * E1.real))
-    Ida = float(np.sum(W * (E1.real ** 2 + E1.imag ** 2)))
+    I00 = I01 = Ida = 0.0
+    rows = max(1, _BLOCK_NODES // phi.size)
+    for i in range(0, n_r, rows):
+        r = slice(i, i + rows)
+        W = wr[r, None] * wphi
+        # disk-0 interior field, standing-wave azimuthal factor
+        E0 = jr[r, None] * cos_mphi
+        # neighbour exterior field evaluated on the disk-0 interior
+        dx = rho[r, None] * cos_phi - L
+        dy = rho[r, None] * sin_phi
+        E1 = ((hankel1(m, k * np.hypot(dx, dy)) / h_r)
+              * np.cos(m * np.arctan2(dy, dx)))
+        I00 += float(np.sum(W * E0 * E0))
+        I01 += float(np.sum(W * E0 * E1.real))
+        Ida += float(np.sum(W * (E1.real ** 2 + E1.imag ** 2)))
     return I00, I01, Ida
 
 

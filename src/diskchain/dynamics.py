@@ -240,8 +240,9 @@ def make_cz_schedule(params: GateParams) -> PulseSchedule:
         gap1 = base
         gap2 = base + pad
         mid = gap1 + T2 + gap2
-        g1sq, g2sq = params.g1 ** 2, params.g2 ** 2
-        span = (g1sq * mid - g2sq * (2.0 * T1 + mid - T2)) / (g1sq + g2sq)
+        # in the ratio g2/g1, which GateParams bounds, so g^2 cannot underflow
+        r2 = (params.g2 / params.g1) ** 2
+        span = (mid - r2 * (2.0 * T1 + mid - T2)) / (1.0 + r2)
         span = max(span, 0.0)
         lead = tail = 0.5 * span
 

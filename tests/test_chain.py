@@ -109,17 +109,18 @@ def test_non_finite_values_raise_naming_the_field(mode_m40_r2, call, field):
 @pytest.mark.parametrize("m, R", [(40, 2.0), (40, 3.0), (45, 2.6), (50, 2.9)])
 def test_transverse_matches_full_mesh_oracle(m, R):
     # the oracle evaluates every field on the full period and Ida on the
-    # displaced grid, with scipy; the package uses the radial line, the
-    # mirror identity and the half period on the same nodes.  At
-    # L/R = 2.49 the I01 sum cancels by about 1e3.
+    # displaced grid, with scipy, in one mesh; the package uses the radial
+    # line, the mirror identity and the half period on the same nodes, in
+    # row blocks.  The first two levels of overlap_integrals: the second
+    # spans several blocks.  At L/R = 2.49 the I01 sum cancels by about 1e3.
     mode = solve_mode(R, m)
-    n_r, n_phi = 96, 8 * m       # first level of overlap_integrals
-    for lr in (2.01, 2.21, 2.49):
-        for L in (lr * R, -lr * R):
-            got = _transverse(mode, L, n_r, n_phi)
-            ref = oracles.transverse_ref(mode, L, n_r, n_phi)
-            for name, g, r in zip(("I00", "I01", "Ida"), got, ref):
-                assert abs(g - r) <= 1e-12 * abs(r), (name, L, g, r)
+    for n_r, n_phi in ((96, 8 * m), (192, 16 * m)):
+        for lr in (2.01, 2.21, 2.49):
+            for L in (lr * R, -lr * R):
+                got = _transverse(mode, L, n_r, n_phi)
+                ref = oracles.transverse_ref(mode, L, n_r, n_phi)
+                for name, g, r in zip(("I00", "I01", "Ida"), got, ref):
+                    assert abs(g - r) <= 1e-12 * abs(r), (name, n_r, L, g, r)
 
 
 @pytest.mark.parametrize("m, R", [(40, 2.0), (40, 3.0), (50, 3.5)])
@@ -139,24 +140,45 @@ def test_transverse_matches_closed_form(m, R):
         assert abs(mesh - ref[2]) <= 1e-11 * ref[2], (lr, mesh, ref[2])
 
 
-def test_transverse_evaluates_one_field_mesh(mode_m40_r2, monkeypatch):
-    # per level: J_m on the radii, H_m on one half-period mesh, plus the
-    # two scalar normalisations
+def test_transverse_evaluates_one_field_mesh(monkeypatch):
+    # per level: J_m on the radii and the two scalar normalisations, then
+    # H_m on blocks of whole radial rows of the half-period mesh that
+    # cover it node by node, in order, and end in a ragged block.  At
+    # m = 50 and 192 x 800 nodes a row has 401 nodes, so a block is 40
+    # rows and the last one 32.
+    mode = solve_mode(3.5, 50)
+    L, n_r, n_phi = 2.01 * 3.5, 192, 800
     calls = []
 
     def recording(name):
         fn = getattr(chain_module, name)
 
         def record(m, x):
-            calls.append((name, np.shape(x)))
+            calls.append((name, np.array(x, dtype=float)))
             return fn(m, x)
         return record
 
     for name in ("bessel_j", "hankel1"):
         monkeypatch.setattr(chain_module, name, recording(name))
-    _transverse(mode_m40_r2, 4.42, 96, 320)
-    assert sorted(calls) == [("bessel_j", ()), ("bessel_j", (96,)),
-                             ("hankel1", ()), ("hankel1", (96, 161))]
+    _transverse(mode, L, n_r, n_phi)
+    shapes = [(name, x.shape) for name, x in calls]
+    assert sorted(shapes[:3]) == [("bessel_j", ()), ("bessel_j", (n_r,)),
+                                  ("hankel1", ())]
+    blocks = [x for name, x in calls[3:] if name == "hankel1"]
+    assert len(blocks) == len(calls) - 3 >= 3
+    rows = [b.shape[0] for b in blocks]
+    assert all(b.shape[1] == n_phi // 2 + 1 for b in blocks)
+    assert rows[:-1] == [rows[0]] * (len(rows) - 1)
+    assert 0 < rows[-1] < rows[0]
+    assert rows[0] * (n_phi // 2 + 1) <= chain_module._BLOCK_NODES
+    # every node's argument once, in row order
+    xg = np.polynomial.legendre.leggauss(n_r)[0]
+    rho = 0.5 * 3.5 * (xg + 1.0)
+    phi = (2.0 * math.pi / n_phi) * np.arange(n_phi // 2 + 1)
+    dx = rho[:, None] * np.cos(phi) - L
+    dy = rho[:, None] * np.sin(phi)
+    assert np.array_equal(np.concatenate(blocks),
+                          mode.k * np.hypot(dx, dy))
 
 
 def test_mirror_identity_for_ida(mode_m40_r2):

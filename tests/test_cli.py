@@ -278,6 +278,22 @@ def test_gate_sim_out_memory_peak(capsys, tmp_path):
     assert peak < 800 * 1024
 
 
+def test_overlap_integrals_memory_peak():
+    # the quadrature mesh is evaluated in blocks of whole radial rows: one
+    # call at the converged 192 x 800 level of m = 50 peaks at about
+    # 2,000 KiB of Python allocations, against about 8,300 KiB when every
+    # field was one array over the whole mesh
+    mode = solve_mode(3.5, 50)
+    overlap_integrals(mode, 2.01 * 3.5)   # rule caches, not measured
+    tracemalloc.start()
+    try:
+        overlap_integrals(mode, 2.01 * 3.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024 * 1024
+
+
 def test_gate_sim_step_past_float_range_is_a_numerical_failure(capsys,
                                                                tmp_path):
     # at g1 = 1e-290 rad/s a record step lasts about 1e287 s, and with
@@ -291,6 +307,21 @@ def test_gate_sim_step_past_float_range_is_a_numerical_failure(capsys,
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         "diskchain: numerical failure: overflow encountered in power"]
+
+
+def test_gate_sim_underflowing_coupling_squares_is_a_numerical_failure(
+        capsys, tmp_path):
+    # g1^2 and g2^2 underflow to 0 at g1 = 1e-290 rad/s; the calibrated
+    # lead span is taken in the ratio g2/g1, so the run reaches the
+    # propagator and ends there in one line, not in a ZeroDivisionError
+    p = tmp_path / "underflow.ini"
+    p.write_text("[gate]\ng1 = 1e-290 rad_s\ng2 = 0.9e-290 rad_s\n"
+                 "delta_max = 1e-289 rad_s\nomega_a0 = 1 rad_s\n")
+    code, out, err = run(capsys, ["gate-sim", "--config", str(p)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "diskchain: numerical failure: propagation lost the state norm or "
+        "overflowed; no finite gate to report"]
 
 
 def test_gate_sim_csv_and_json_agree(capsys, tmp_path):
